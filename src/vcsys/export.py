@@ -68,14 +68,14 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
         "network": {
             "nodes": sorted(spec.network.nodes),
             "edges": [
-                {"id": e.id, "tail": e.tail, "head": e.head, "directed": e.directed}
+                {"id": e.id, "tail": e.tail, "head": e.head}
                 for e in spec.network.edges
             ],
         },
         "interface": {
             "env_nodes": [_env_json(n) for n in spec.interface.env_nodes],
             "edges": [
-                {"id": e.id, "tail": e.tail, "head": e.head, "directed": e.directed}
+                {"id": e.id, "tail": e.tail, "head": e.head}
                 for e in spec.interface.edges
             ],
         },
@@ -86,7 +86,6 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
                 "substance": k.substance,
                 "capacity": k.capacity,
                 "strength": k.strength,
-                "rule": k.rule.value,
             }
             for edge_id, k in spec.knowledge
         ],
@@ -116,7 +115,6 @@ def flat_graph_json(flat: FlatGraph) -> dict[str, Any]:
                 "substance": e.knowledge.substance,
                 "capacity": e.knowledge.capacity,
                 "strength": e.knowledge.strength,
-                "rule": e.knowledge.rule.value,
             }
             for e in flat.edges
         ],

@@ -70,7 +70,6 @@ class FlatEdge:
     tail: str
     head: str
     knowledge: EdgeKnowledge
-    directed: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,6 @@ class FlatGraph:
     @cached_property
     def env_by_id(self) -> dict[str, EnvNode]:
         return {n.id: n for n in self.env_nodes}
-
-    @cached_property
-    def substances(self) -> frozenset[str]:
-        return frozenset(e.knowledge.substance for e in self.edges)
 
 
 class _Expansion:
@@ -136,7 +131,6 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
                 tail=tail,
                 head=head,
                 knowledge=know,
-                directed=spec_edge.directed,
             )
         )
 

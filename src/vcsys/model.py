@@ -73,16 +73,6 @@ class HistoryPolicy(enum.Enum):
     NULL = "null"
 
 
-class FlowRule(enum.Enum):
-    """Kind of state-transition rule attached to a connection.
-
-    Only capacity-limited throughput exists today; the enum leaves room
-    for other rule kinds without changing the wire formats.
-    """
-
-    THROUGHPUT = "throughput"
-
-
 @dataclass(frozen=True)
 class Atomic:
     """Body of a component that needs no further decomposition."""
@@ -103,7 +93,6 @@ class Edge:
     id: str
     tail: str
     head: str
-    directed: bool = True
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,6 @@ class EdgeKnowledge:
     capacity: float
     substance: str
     strength: float = 1.0
-    rule: FlowRule = FlowRule.THROUGHPUT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "capacity", float(self.capacity))

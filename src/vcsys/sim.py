@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .export import flat_graph_json
-from .flatten import FlatEdge, FlatGraph
-from .model import EntityNode, HistoryPolicy, SinkNode, SourceNode, VcsysError
+from .flatten import FlatGraph
+from .model import HistoryPolicy, SinkNode, SourceNode, VcsysError
 
 __all__ = [
     "InconsistentState",
@@ -81,7 +82,6 @@ class TransitionRecord:
 @dataclass(frozen=True)
 class LogHeader:
     model_hash: str
-    seed: int
     start_tick: int
     steps: int
     history: HistoryPolicy
@@ -108,170 +108,212 @@ def model_hash(flat: FlatGraph) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _Route(NamedTuple):
+    """Where a flow along one edge goes; a key is None where no stock is kept."""
+
+    id: str
+    substance: str
+    draw: tuple[str, str] | None  # the actor stock it empties
+    fill: tuple[str, str] | None  # the actor stock it fills
+    sink: tuple[str, str] | None  # the end-market counter it feeds
+    emits: bool  # it leaves a source
+
+
+_Flow = tuple[_Route, float]
+_Stocks = dict[tuple[str, str], float]
+
+
+class _Plan:
+    """A flattened graph's edges, classified once for all ticks.
+
+    ``sources`` are the constant source flows. ``groups`` holds, per
+    (tail, substance) stock in key order, its full-capacity flows sorted
+    by edge id, their summed capacity and whether all are whole numbers.
+    """
+
+    def __init__(self, flat: FlatGraph) -> None:
+        env = flat.env_by_id
+        internal = flat.nodes_by_id
+        self.routes: dict[str, _Route] = {}
+        self.sources: list[_Flow] = []
+        contenders: dict[tuple[str, str], list[_Flow]] = {}
+        for edge in flat.edges:
+            substance, capacity = edge.knowledge.substance, edge.knowledge.capacity
+            tail_env, head_env = env.get(edge.tail), env.get(edge.head)
+            route = self.routes[edge.id] = _Route(
+                edge.id,
+                substance,
+                (edge.tail, substance) if edge.tail in internal else None,
+                (edge.head, substance) if edge.head in internal else None,
+                (edge.head, substance) if isinstance(head_env, SinkNode) else None,
+                isinstance(tail_env, SourceNode),
+            )
+            # Entities carry nothing; sources and sinks are one-way, so a
+            # flow may end in the environment only at a sink.
+            if capacity <= 0 or (head_env is not None and route.sink is None):
+                continue
+            if route.emits:
+                # The environment is not modeled: each source edge fills up
+                # to capacity, but only with the source's own substance.
+                amount = min(tail_env.rate, capacity)
+                if substance == tail_env.substance and amount > 0:
+                    self.sources.append((route, amount))
+            elif tail_env is None:  # edges drawing on one stock contend for it
+                contenders.setdefault((edge.tail, substance), []).append((route, capacity))
+        self.groups = []
+        for key, flows in sorted(contenders.items()):
+            group = sorted(flows, key=_by_id)
+            caps = [cap for _, cap in group]
+            self.groups.append((key, group, sum(caps), all(c.is_integer() for c in caps)))
+        self.sinks = frozenset(n.id for n in flat.env_nodes if isinstance(n, SinkNode))
+
+    def zero_state(self) -> SimulationState:
+        routes = self.routes.values()
+        stocks = dict.fromkeys((k for r in routes for k in (r.draw, r.fill) if k), 0.0)
+        received = dict.fromkeys((r.sink for r in routes if r.sink), 0.0)
+        return SimulationState(0, stocks, received)
+
+
+def _by_id(flow: _Flow) -> str:
+    return flow[0].id
+
+
 def init_state(flat: FlatGraph) -> SimulationState:
     """Tick zero: every stock and every delivery counter at zero.
 
     Keys exist for each (node, substance) combination an incident edge can
     touch, so states from a run and from a replay carry identical key sets.
     """
-    env = flat.env_by_id
-    internal = {n.id for n in flat.nodes}
-    stocks: dict[tuple[str, str], float] = {}
-    received: dict[tuple[str, str], float] = {}
-    for edge in flat.edges:
-        substance = edge.knowledge.substance
-        for end in (edge.tail, edge.head):
-            if end in internal:
-                stocks.setdefault((end, substance), 0.0)
-        if isinstance(env.get(edge.head), SinkNode):
-            received.setdefault((edge.head, substance), 0.0)
-    return SimulationState(0, stocks, received)
+    return _Plan(flat).zero_state()
 
 
-def _ration(pool: float, edges: list[FlatEdge]) -> list[tuple[FlatEdge, float]]:
-    """Split `pool` over competing edges proportionally to capacity.
+def _ration(pool: float, group: list[_Flow], total: float, integral: bool) -> list[_Flow]:
+    """Split `pool` over competing flows proportionally to capacity.
 
     Integer pools with integer capacities stay integral: floor shares plus
     one leftover unit each to the largest remainders, ties broken by
     ascending edge id.
     """
-    caps = [e.knowledge.capacity for e in edges]
-    total = sum(caps)
-    if pool.is_integer() and all(c.is_integer() for c in caps):
+    if pool.is_integer() and integral:
         pool_i, total_i = int(pool), int(total)
-        base = [(pool_i * int(c)) // total_i for c in caps]
-        rems = [(pool_i * int(c)) % total_i for c in caps]
-        order = sorted(range(len(edges)), key=lambda i: (-rems[i], edges[i].id))
+        base = [(pool_i * int(cap)) // total_i for _, cap in group]
+        rems = [(pool_i * int(cap)) % total_i for _, cap in group]
+        order = sorted(range(len(group)), key=lambda i: (-rems[i], group[i][0].id))
         for i in order[: pool_i - sum(base)]:
             base[i] += 1
-        return [(edges[i], float(share)) for i, share in enumerate(base) if share > 0]
+        return [(group[i][0], float(share)) for i, share in enumerate(base) if share > 0]
     return [
-        (edge, pool * cap / total)
-        for edge, cap in zip(edges, caps)
-        if pool * cap / total > 0
+        (route, pool * cap / total) for route, cap in group if pool * cap / total > 0
     ]
+
+
+def _apply(flows: Iterable[_Flow], stocks: _Stocks, received: _Stocks) -> None:
+    """Move each flow's amount out of its drawn stock and into its target."""
+    for route, amount in flows:
+        if route.draw is not None:
+            stocks[route.draw] = stocks.get(route.draw, 0.0) - amount
+        if route.fill is not None:
+            stocks[route.fill] = stocks.get(route.fill, 0.0) + amount
+        elif route.sink is not None:
+            received[route.sink] = received.get(route.sink, 0.0) + amount
+
+
+def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks) -> list[_Flow]:
+    """Advance `stocks` and `received` one tick in place; returns the flows.
+
+    Every flow is computed from the start-of-tick stocks before any is
+    applied, and flows are applied and returned in edge-id order.
+    """
+    flows = list(plan.sources)
+    for key, group, wanted, integral in plan.groups:
+        pool = stocks.get(key, 0.0)
+        if wanted <= pool:
+            flows.extend(group)
+        elif pool > 0:
+            flows.extend(_ration(pool, group, wanted, integral))
+    flows.sort(key=_by_id)
+    _apply(flows, stocks, received)
+    return flows
 
 
 def step(
     state: SimulationState, flat: FlatGraph
 ) -> tuple[SimulationState, list[TransitionRecord]]:
-    """Advance one tick; returns the new state and the positive-flow records."""
-    internal = {n.id for n in flat.nodes}
-    env = flat.env_by_id
+    """Advance one tick; returns the new state and the positive-flow records.
+
+    A stock key the state lacks counts as zero.
+    """
+    plan = _Plan(flat)
     for node, _ in state.stocks:
-        if node not in internal:
+        if node not in flat.nodes_by_id:
             raise InconsistentState(f"stocked node {node!r} is not in the model")
     for sink, _ in state.sink_received:
-        if not isinstance(env.get(sink), SinkNode):
+        if sink not in plan.sinks:
             raise InconsistentState(f"delivery counter {sink!r} is not a sink")
-
-    flows: list[tuple[FlatEdge, float]] = []
-    contenders: dict[tuple[str, str], list[FlatEdge]] = {}
-    for edge in flat.edges:
-        tail_env = env.get(edge.tail)
-        head_env = env.get(edge.head)
-        if isinstance(head_env, (EntityNode, SourceNode)) or isinstance(
-            tail_env, (EntityNode, SinkNode)
-        ):
-            continue  # entities carry nothing; sources/sinks are one-way
-        if edge.knowledge.capacity <= 0:
-            continue
-        if isinstance(tail_env, SourceNode):
-            # The environment is not modeled: each source edge fills up to
-            # capacity, but only with the source's own substance.
-            if edge.knowledge.substance == tail_env.substance:
-                amount = min(tail_env.rate, edge.knowledge.capacity)
-                if amount > 0:
-                    flows.append((edge, amount))
-            continue
-        key = (edge.tail, edge.knowledge.substance)
-        contenders.setdefault(key, []).append(edge)
-
-    for (tail, substance), group in sorted(contenders.items()):
-        pool = state.stocks.get((tail, substance), 0.0)
-        group = sorted(group, key=lambda e: e.id)
-        wanted = sum(e.knowledge.capacity for e in group)
-        if wanted <= pool:
-            flows.extend((e, e.knowledge.capacity) for e in group)
-        elif pool > 0:
-            flows.extend(_ration(pool, group))
-
-    flows.sort(key=lambda item: item[0].id)
     stocks = dict(state.stocks)
     received = dict(state.sink_received)
-    records: list[TransitionRecord] = []
-    for edge, amount in flows:
-        substance = edge.knowledge.substance
-        if edge.tail in internal:
-            key = (edge.tail, substance)
-            stocks[key] = stocks.get(key, 0.0) - amount
-        if edge.head in internal:
-            key = (edge.head, substance)
-            stocks[key] = stocks.get(key, 0.0) + amount
-        elif isinstance(env.get(edge.head), SinkNode):
-            key = (edge.head, substance)
-            received[key] = received.get(key, 0.0) + amount
-        records.append(TransitionRecord(state.tick, edge.id, substance, amount))
+    flows = _tick(plan, stocks, received)
+    records = [TransitionRecord(state.tick, r.id, r.substance, a) for r, a in flows]
     return SimulationState(state.tick + 1, stocks, received), records
 
 
-def run(flat: FlatGraph, steps: int, seed: int = 0) -> tuple[SimulationState, HistoryLog]:
+def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
     """Run `steps` ticks from a zero state.
 
     With a null history policy the trajectory is the same but the log
-    stays empty. `seed` is carried in the log header for forward
-    compatibility; current dynamics use no randomness.
+    stays empty.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    state = init_state(flat)
+    plan = _Plan(flat)
+    state = plan.zero_state()
     collected: list[TransitionRecord] = []
     recording = flat.history_policy is HistoryPolicy.RECORD
-    for _ in range(steps):
-        state, records = step(state, flat)
+    for tick in range(steps):
+        flows = _tick(plan, state.stocks, state.sink_received)
         if recording:
-            collected.extend(records)
-    header = LogHeader(model_hash(flat), seed, 0, steps, flat.history_policy)
-    return state, HistoryLog(header, tuple(collected))
+            collected.extend(TransitionRecord(tick, r.id, r.substance, a) for r, a in flows)
+    header = LogHeader(model_hash(flat), 0, steps, flat.history_policy)
+    return replace(state, tick=steps), HistoryLog(header, tuple(collected))
 
 
 def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
-    """Reapply a recorded history to reproduce the run's final state."""
+    """Reapply a recorded history to reproduce the run's final state.
+
+    Every record must name an edge of the model and that edge's substance,
+    carry a finite positive amount and fall inside the logged ticks.
+    """
     if log.header.model_hash != model_hash(flat):
         raise HashMismatch("history was recorded against a different model")
     if log.header.history is HistoryPolicy.NULL:
         raise NullHistory("a null history has no records to replay")
-    env = flat.env_by_id
-    edges = {e.id: e for e in flat.edges}
-    start = init_state(flat)
-    stocks = dict(start.stocks)
-    received = dict(start.sink_received)
-    by_tick: dict[int, list[TransitionRecord]] = {}
+    plan = _Plan(flat)
+    first = log.header.start_tick
+    end = first + log.header.steps
+    by_tick: dict[int, list[_Flow]] = {}
     for record in log.records:
-        by_tick.setdefault(record.tick, []).append(record)
+        route = plan.routes.get(record.edge)
+        if route is None:
+            raise InconsistentState(f"record references unknown edge {record.edge!r}")
+        if not first <= record.tick < end:
+            problem = f"lies outside ticks [{first}, {end})"
+        elif record.substance != route.substance:
+            problem = f"moves {record.substance!r}; the edge carries {route.substance!r}"
+        elif not 0 < record.amount < math.inf:
+            problem = f"has amount {record.amount}"
+        else:
+            by_tick.setdefault(record.tick, []).append((route, record.amount))
+            continue
+        raise InconsistentState(f"record at tick {record.tick} on edge {record.edge!r} {problem}")
+    state = plan.zero_state()
     for tick in sorted(by_tick):
-        for record in by_tick[tick]:
-            edge = edges.get(record.edge)
-            if edge is None:
-                raise InconsistentState(f"record references unknown edge {record.edge!r}")
-            substance = record.substance
-            if env.get(edge.tail) is None:
-                key = (edge.tail, substance)
-                stocks[key] = stocks.get(key, 0.0) - record.amount
-            if env.get(edge.head) is None:
-                key = (edge.head, substance)
-                stocks[key] = stocks.get(key, 0.0) + record.amount
-            elif isinstance(env.get(edge.head), SinkNode):
-                key = (edge.head, substance)
-                received[key] = received.get(key, 0.0) + record.amount
-        for key, value in stocks.items():
+        _apply(by_tick[tick], state.stocks, state.sink_received)
+        for key, value in state.stocks.items():
             if value < 0:
                 raise NegativeStock(
                     f"stock {key} fell to {value} at tick {tick}; corrupt history"
                 )
-    return SimulationState(
-        log.header.start_tick + log.header.steps, stocks, received
-    )
+    return replace(state, tick=end)
 
 
 @dataclass(frozen=True)
@@ -298,22 +340,18 @@ def conservation_check(
 ) -> ConservationReport:
     """Balance every conserved substance: emitted = still held + delivered.
 
-    Integer runs must balance exactly; real-valued runs within 1e-9. Needs
-    the complete history of the run that produced `state`.
+    Integer runs must balance exactly; real-valued runs within
+    ``1e-9 * max(1, |emitted|)``, as rounding grows with the amounts moved.
+    Needs the complete history of the run that produced `state`.
     """
     if log.header.history is HistoryPolicy.NULL and log.header.steps > 0:
         raise NullHistory("conservation needs the complete flow history")
-    env = flat.env_by_id
-    edges = {e.id: e for e in flat.edges}
+    emitters = {route.id for route in _Plan(flat).routes.values() if route.emits}
     entries = []
     for substance in sorted(flat.conserved):
         amounts = [r.amount for r in log.records if r.substance == substance]
         emitted = sum(
-            r.amount
-            for r in log.records
-            if r.substance == substance
-            and (e := edges.get(r.edge)) is not None
-            and isinstance(env.get(e.tail), SourceNode)
+            r.amount for r in log.records if r.substance == substance and r.edge in emitters
         )
         held_values = [v for (_, s), v in state.stocks.items() if s == substance]
         sunk_values = [v for (_, s), v in state.sink_received.items() if s == substance]
@@ -323,7 +361,7 @@ def conservation_check(
         integral = all(
             float(x).is_integer() for x in amounts + held_values + sunk_values
         )
-        tolerance = 0.0 if integral else 1e-9
+        tolerance = 0.0 if integral else 1e-9 * max(1.0, abs(emitted))
         entries.append(
             ConservationEntry(
                 substance, emitted, held, delivered, error, abs(error) <= tolerance
@@ -337,53 +375,37 @@ def write_log(log: HistoryLog, target: str | Path | IO[str]) -> None:
     own = isinstance(target, (str, Path))
     fp: IO[str] = open(target, "w", encoding="utf-8") if own else target
     try:
-        header = {
-            "model_hash": log.header.model_hash,
-            "seed": log.header.seed,
-            "start_tick": log.header.start_tick,
-            "steps": log.header.steps,
-            "history": log.header.history.value,
-        }
-        fp.write(json.dumps(header, sort_keys=False) + "\n")
+        header = {**vars(log.header), "history": log.header.history.value}
+        fp.write(json.dumps(header) + "\n")
         for record in log.records:
-            fp.write(
-                json.dumps(
-                    {
-                        "tick": record.tick,
-                        "edge": record.edge,
-                        "substance": record.substance,
-                        "amount": record.amount,
-                    }
-                )
-                + "\n"
-            )
+            fp.write(json.dumps(vars(record)) + "\n")
     finally:
         if own:
             fp.close()
 
 
 def _parse_log_lines(lines: Iterable[str], source: str) -> HistoryLog:
-    rows = [line for line in lines if line.strip()]
-    if not rows:
+    header: LogHeader | None = None
+    records: list[TransitionRecord] = []
+    number = 0
+    try:
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            raw = json.loads(line)
+            if header is None:
+                history = HistoryPolicy(raw["history"])
+                header = LogHeader(raw["model_hash"], raw["start_tick"], raw["steps"], history)
+            else:
+                amount = float(raw["amount"])
+                records.append(TransitionRecord(raw["tick"], raw["edge"], raw["substance"], amount))
+    except KeyError as exc:
+        raise InconsistentState(f"{source}: line {number} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InconsistentState(f"{source}: line {number} is malformed: {exc}") from exc
+    if header is None:
         raise InconsistentState(f"{source}: empty history file")
-    raw = json.loads(rows[0])
-    header = LogHeader(
-        model_hash=raw["model_hash"],
-        seed=raw["seed"],
-        start_tick=raw["start_tick"],
-        steps=raw["steps"],
-        history=HistoryPolicy(raw["history"]),
-    )
-    records = tuple(
-        TransitionRecord(
-            tick=entry["tick"],
-            edge=entry["edge"],
-            substance=entry["substance"],
-            amount=float(entry["amount"]),
-        )
-        for entry in map(json.loads, rows[1:])
-    )
-    return HistoryLog(header, records)
+    return HistoryLog(header, tuple(records))
 
 
 def read_log(source: str | Path | IO[str]) -> HistoryLog:

@@ -163,7 +163,7 @@ def test_export_json_demo_knowledge():
     payload = export_json(demo_chain_spec())
     assert len(payload["knowledge"]) == 3
     for entry in payload["knowledge"]:
-        assert {"edge", "substance", "capacity", "strength", "rule"} <= set(entry)
+        assert {"edge", "substance", "capacity", "strength"} <= set(entry)
 
 
 def test_export_json_null_history():

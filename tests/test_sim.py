@@ -1,12 +1,15 @@
 """Flow dynamics: stepping, running, history, replay, conservation."""
 
 import dataclasses
+import io
+import math
 import random
 
 import pytest
 
 from vcsys import (
     Atomic,
+    BoundarySpec,
     ComponentDecl,
     Edge,
     EdgeKnowledge,
@@ -306,6 +309,47 @@ def test_replay_through_log_file(tmp_path):
     assert replay(flat, loaded) == state
 
 
+@pytest.mark.parametrize(
+    "forged",
+    [
+        {"amount": math.nan},
+        {"amount": math.inf},
+        {"amount": 0.0},
+        {"substance": "milk"},
+        {"tick": 99},
+        {"tick": -1},
+    ],
+    ids=["nan_amount", "inf_amount", "zero_amount", "wrong_substance", "tick_after", "tick_before"],
+)
+def test_replay_rejects_forged_record(forged):
+    flat = flatten(demo_chain_spec())
+    _, log = run(flat, 3)
+    records = list(log.records)
+    victim = next(i for i, r in enumerate(records) if r.edge == "e_pt#1")
+    records[victim] = dataclasses.replace(records[victim], **forged)
+    bad_log = dataclasses.replace(log, records=tuple(records))
+    tick = records[victim].tick
+    with pytest.raises(InconsistentState, match=f"tick {tick} on edge 'e_pt#1'"):
+        replay(flat, bad_log)
+
+
+LOG_HEADER = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "record"}'
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"model_hash": "h", "steps": 1, "history": "record"}\n', 1),
+        (LOG_HEADER + '\n{"tick": 0, "edge": "e_sp#1", "amount": 4.0}\n', 2),
+        (LOG_HEADER + '\n\n{"tick": 0, "edge": \n', 3),
+    ],
+    ids=["header_missing_key", "record_missing_key", "not_json"],
+)
+def test_read_log_malformed_line_raises_typed_error(text, line):
+    with pytest.raises(InconsistentState, match=f"<stream>: line {line} "):
+        read_log(io.StringIO(text))
+
+
 # --- conservation -----------------------------------------------------------
 
 def test_conservation_demo_chain():
@@ -352,3 +396,34 @@ def test_conservation_on_random_integer_models():
         assert report.ok
         for entry in report.entries:
             assert entry.error == 0.0
+
+
+def milkshed_spec():
+    """Nine actors moving fractional milk: P*5 -> T*4 -> M."""
+    return make_system(
+        "milkshed",
+        components=[
+            ComponentDecl("P", Atomic(Role.PRODUCER, 0), 5),
+            ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1), 4),
+        ],
+        env=[SourceNode("S", 402.25, "milk"), SinkNode("M", Scope.NATIONAL)],
+        edges=[
+            (Edge("e_sp", "S", "P"), EdgeKnowledge(99.6, "milk")),
+            (Edge("e_pt", "P", "T"), EdgeKnowledge(56.4, "milk")),
+            (Edge("e_tm", "T", "M"), EdgeKnowledge(67.2, "milk")),
+        ],
+        boundary=BoundarySpec(frozenset({"milk"}), frozenset({"milk"})),
+    )
+
+
+def test_conservation_fractional_rounding_scales_with_emitted():
+    flat = flatten(milkshed_spec())
+    state, log = run(flat, 200)
+    [entry] = conservation_check(flat, state, log).entries
+    # Rounding over ~1e5 emitted units exceeds an absolute 1e-9 ...
+    assert 1e-9 < abs(entry.error) <= 1e-9 * entry.emitted
+    assert entry.ok
+    # ... while a lost source record still unbalances the books.
+    lost = next(i for i, r in enumerate(log.records) if r.edge.startswith("e_sp"))
+    pruned = dataclasses.replace(log, records=log.records[:lost] + log.records[lost + 1 :])
+    assert not conservation_check(flat, state, pruned).ok
