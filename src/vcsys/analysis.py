@@ -10,6 +10,7 @@ topology and keeps zero-capacity edges.
 from __future__ import annotations
 
 import enum
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -83,25 +84,6 @@ class GovernanceScore:
     score: float
 
 
-def _bfs_counts(
-    start: str, neighbors: dict[str, set[str]]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Hop distance and number of shortest paths from start to every node."""
-    dist = {start: 0}
-    count = {start: 1}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in sorted(neighbors.get(node, ())):
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                count[nxt] = count[node]
-                queue.append(nxt)
-            elif dist[nxt] == dist[node] + 1:
-                count[nxt] += count[node]
-    return dist, count
-
-
 def governance_centrality(flat: FlatGraph) -> list[GovernanceScore]:
     """Score each actor's brokerage between supply sources and end markets.
 
@@ -110,35 +92,46 @@ def governance_centrality(flat: FlatGraph) -> list[GovernanceScore]:
     average over the connected pairs, landing in [0, 1]. A node off every
     path (or a graph with no connected pair at all, i.e. a broken chain)
     scores 0.
+
+    Computed as Brandes' source-target betweenness: one BFS per source
+    counts shortest paths, and one sweep back over the visit order sums,
+    for every actor at once, its share of the paths to all reached sinks.
+    The cost is one BFS per source, linear in the edges. The sweep runs in
+    integers scaled by the lcm of the reached sinks' path counts, so each
+    (actor, source) share is one correctly rounded division: a cut-vertex
+    actor scores exactly 1.0 and no score leaves [0, 1]. Sources are taken
+    in sorted order, so the float sums do not depend on hash seeds.
     """
     adjacency, sources, sinks = _flow_adjacency(flat)
-    reverse: dict[str, set[str]] = defaultdict(set)
-    for tail, heads in adjacency.items():
-        for head in heads:
-            reverse[head].add(tail)
-
     internal = [n.id for n in flat.nodes]
     totals = {node: 0.0 for node in internal}
-    forward = {s: _bfs_counts(s, adjacency) for s in sorted(sources)}
-    backward = {t: _bfs_counts(t, reverse) for t in sorted(sinks)}
-
     pairs_with_path = 0
     for s in sorted(sources):
-        dist_s, count_s = forward[s]
-        for t in sorted(sinks):
-            if t not in dist_s:
-                continue
-            pairs_with_path += 1
-            dist_t, count_t = backward[t]
-            total = dist_s[t]
-            on_path = count_s[t]
-            for v in internal:
-                if (
-                    v in dist_s
-                    and v in dist_t
-                    and dist_s[v] + dist_t[v] == total
-                ):
-                    totals[v] += (count_s[v] * count_t[v]) / on_path
+        dist = {s: 0}
+        paths = {s: 1}
+        order = [s]
+        for node in order:
+            for nxt in adjacency.get(node, ()):
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    paths[nxt] = paths[node]
+                    order.append(nxt)
+                elif dist[nxt] == dist[node] + 1:
+                    paths[nxt] += paths[node]
+        reached = [t for t in order if t in sinks]
+        if not reached:
+            continue
+        pairs_with_path += len(reached)
+        scale = math.lcm(*(paths[t] for t in reached))
+        through = dict.fromkeys(order, 0)
+        for v in reversed(order):
+            if v in sinks:
+                through[v] += scale // paths[v]
+            for w in adjacency.get(v, ()):
+                if dist[w] == dist[v] + 1:
+                    through[v] += through[w]
+            if through[v] and v in totals:
+                totals[v] += paths[v] * through[v] / scale
 
     if pairs_with_path == 0:
         return [GovernanceScore(v, 0.0) for v in sorted(internal)]

@@ -425,12 +425,12 @@ def _validate_level(
             subsystems[comp.type_id] = comp.body
 
     # Environment nodes.
-    env_ids: set[str] = set()
+    env_by_id: dict[str, EnvNode] = {}
     for node in spec.interface.env_nodes:
         epath = f"{path}/env/{node.id}"
-        if node.id in env_ids:
+        if node.id in env_by_id:
             bad(f"duplicate environment node {node.id!r}", epath)
-        env_ids.add(node.id)
+        env_by_id.setdefault(node.id, node)
         if node.id in seen_types:
             bad(
                 f"identifier {node.id!r} is declared as both a component and an"
@@ -484,7 +484,7 @@ def _validate_level(
         edge_ids.add(edge.id)
         for ref in (edge.tail, edge.head):
             base, _ = split_endpoint(ref)
-            if base in env_ids:
+            if base in env_by_id:
                 bad(f"environment node {base!r} appears in the internal network", epath)
                 continue
             if base in seen_types and base not in spec.network.nodes:
@@ -503,8 +503,8 @@ def _validate_level(
         edge_ids.add(edge.id)
         tail_base, _ = split_endpoint(edge.tail)
         head_base, _ = split_endpoint(edge.head)
-        tail_env = tail_base in env_ids
-        head_env = head_base in env_ids
+        tail_env = tail_base in env_by_id
+        head_env = head_base in env_by_id
         if tail_env == head_env:
             which = "two" if tail_env else "no"
             bad(f"interface edge has {which} environment endpoints", epath)
@@ -516,7 +516,7 @@ def _validate_level(
         )
         if split_endpoint(env_ref)[1] is not None:
             bad(f"environment node {env_id!r} has no ports", epath)
-        node = next(n for n in spec.interface.env_nodes if n.id == env_id)
+        node = env_by_id[env_id]
         if isinstance(node, SourceNode) and not tail_env:
             bad(f"source {env_id!r} may only appear as an edge tail", epath)
         if isinstance(node, SinkNode) and not head_env:

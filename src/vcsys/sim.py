@@ -396,9 +396,24 @@ def _parse_log_lines(lines: Iterable[str], source: str) -> HistoryLog:
             if header is None:
                 history = HistoryPolicy(raw["history"])
                 header = LogHeader(raw["model_hash"], raw["start_tick"], raw["steps"], history)
+                # Exact type checks: JSON true/false load as bool, a subclass of int.
+                if (
+                    type(header.model_hash) is not str
+                    or type(header.start_tick) is not int
+                    or type(header.steps) is not int
+                ):
+                    raise TypeError("model_hash must be a string, start_tick and steps ints")
             else:
-                amount = float(raw["amount"])
-                records.append(TransitionRecord(raw["tick"], raw["edge"], raw["substance"], amount))
+                tick, amount = raw["tick"], raw["amount"]
+                edge, substance = raw["edge"], raw["substance"]
+                if (
+                    type(tick) is not int
+                    or type(edge) is not str
+                    or type(substance) is not str
+                    or type(amount) not in (float, int)
+                ):
+                    raise TypeError("tick must be an int, edge and substance str, amount a number")
+                records.append(TransitionRecord(tick, edge, substance, float(amount)))
     except KeyError as exc:
         raise InconsistentState(f"{source}: line {number} lacks the key {exc}") from exc
     except (TypeError, ValueError) as exc:

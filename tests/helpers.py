@@ -91,6 +91,49 @@ def two_sink_spec() -> SystemSpec:
     )
 
 
+def fan_spec(producers: int, exporters: int) -> SystemSpec:
+    """Sources -> producers -> one trader T -> parallel exporters -> market M.
+
+    T lies on every route, so it is a cut vertex between supply and market.
+    """
+    components = [ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1))]
+    env: list = [SinkNode("M", Scope.GLOBAL)]
+    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    for i in range(producers):
+        components.append(ComponentDecl(f"P{i}", Atomic(Role.PRODUCER, 0)))
+        env.append(SourceNode(f"S{i}", 1, "grain"))
+        edges.append((Edge(f"e_s{i}", f"S{i}", f"P{i}"), EdgeKnowledge(1, "grain")))
+        edges.append((Edge(f"e_p{i}", f"P{i}", "T"), EdgeKnowledge(1, "grain")))
+    for j in range(exporters):
+        components.append(ComponentDecl(f"X{j}", Atomic(Role.PROCESSOR_TRADER, 2)))
+        edges.append((Edge(f"e_t{j}", "T", f"X{j}"), EdgeKnowledge(1, "grain")))
+        edges.append((Edge(f"e_x{j}", f"X{j}", "M"), EdgeKnowledge(1, "grain")))
+    return make_system(f"fan{producers}x{exporters}", components=components, edges=edges, env=env)
+
+
+def shared_traders_spec(sources: int) -> SystemSpec:
+    """Many sources whose producers each sell to three of seven shared
+    traders, which sell on to two of three markets: every trader's score
+    sums many non-dyadic shares, one from each source."""
+    traders, markets = 7, 3
+    components = [
+        ComponentDecl(f"T{j}", Atomic(Role.PROCESSOR_TRADER, 1)) for j in range(traders)
+    ]
+    env: list = [SinkNode(f"M{k}", Scope.NATIONAL) for k in range(markets)]
+    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    for i in range(sources):
+        components.append(ComponentDecl(f"P{i}", Atomic(Role.PRODUCER, 0)))
+        env.append(SourceNode(f"S{i}", 1, "grain"))
+        edges.append((Edge(f"e_s{i}", f"S{i}", f"P{i}"), EdgeKnowledge(1, "grain")))
+        for step in (0, 1, 3):
+            j = (i + step * (i % 3 + 1)) % traders
+            edges.append((Edge(f"e_p{i}_{step}", f"P{i}", f"T{j}"), EdgeKnowledge(1, "grain")))
+    for j in range(traders):
+        for k in sorted({j % markets, (j + 1) % markets}):
+            edges.append((Edge(f"e_t{j}_{k}", f"T{j}", f"M{k}"), EdgeKnowledge(1, "grain")))
+    return make_system(f"shared{sources}", components=components, edges=edges, env=env)
+
+
 def nested_two_level_spec() -> SystemSpec:
     """A farm subsystem exporting through a port to a trader at the root."""
     farm = make_system(

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line so a run of
 """
 
 import dataclasses
+import os
 import random
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from .helpers import (
     nested_two_level_spec,
     random_flow_model,
     random_spec,
+    shared_traders_spec,
     three_level_spec,
     two_sink_spec,
 )
@@ -202,3 +204,20 @@ def test_simulate_determinism(tmp_path):
         assert outputs[0] == outputs[1]
         assert logs[0] == logs[1]
         assert len(logs[0]) > 0
+
+
+def test_analyze_determinism_across_hash_seeds(tmp_path):
+    with criterion("analyze --metric governance is byte-identical under two hash seeds"):
+        model = tmp_path / "shared.vcs"
+        model.write_text(print_spec(shared_traders_spec(40)))
+        outputs = []
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-m", "vcsys", "analyze", str(model), "--metric", "governance"],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) > 0

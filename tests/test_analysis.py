@@ -23,7 +23,13 @@ from vcsys import (
     weak_linkage_report,
 )
 
-from .helpers import demo_chain_spec, diamond_spec, random_flow_model, two_sink_spec
+from .helpers import (
+    demo_chain_spec,
+    diamond_spec,
+    fan_spec,
+    random_flow_model,
+    two_sink_spec,
+)
 from .oracles import brute_governance
 
 
@@ -112,7 +118,12 @@ def test_governance_scores_within_unit_interval():
     rng = random.Random(17)
     for _ in range(20):
         for score in governance_centrality(flatten(random_flow_model(rng))):
-            assert 0.0 <= score.score <= 1.0 + 1e-12
+            assert 0.0 <= score.score <= 1.0
+    for a in range(1, 13):
+        for b in range(1, 13):
+            scores = {s.node: s.score for s in governance_centrality(flatten(fan_spec(a, b)))}
+            assert all(0.0 <= score <= 1.0 for score in scores.values()), (a, b)
+            assert scores["T#1"] == 1.0, (a, b)  # the trader is a cut vertex
 
 
 # --- reachability -----------------------------------------------------------

@@ -334,6 +334,7 @@ def test_replay_rejects_forged_record(forged):
 
 
 LOG_HEADER = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "record"}'
+RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
 
 
 @pytest.mark.parametrize(
@@ -342,8 +343,36 @@ LOG_HEADER = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "recor
         ('{"model_hash": "h", "steps": 1, "history": "record"}\n', 1),
         (LOG_HEADER + '\n{"tick": 0, "edge": "e_sp#1", "amount": 4.0}\n', 2),
         (LOG_HEADER + '\n\n{"tick": 0, "edge": \n', 3),
+        (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": "0"'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": 0.5'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": true'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('"e_sp#1"', '[1]'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('"grain"', '3'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('4.0', 'true'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('4.0', '"4.0"'), 2),
+        (LOG_HEADER.replace('"start_tick": 0', '"start_tick": "0"') + '\n', 1),
+        (LOG_HEADER.replace('"steps": 1', '"steps": "1"') + '\n', 1),
+        (LOG_HEADER.replace('"steps": 1', '"steps": 2.5') + '\n', 1),
+        (LOG_HEADER.replace('"steps": 1', '"steps": false') + '\n', 1),
+        (LOG_HEADER.replace('"h"', 'null') + '\n', 1),
     ],
-    ids=["header_missing_key", "record_missing_key", "not_json"],
+    ids=[
+        "header_missing_key",
+        "record_missing_key",
+        "not_json",
+        "string_tick",
+        "float_tick",
+        "bool_tick",
+        "list_edge",
+        "int_substance",
+        "bool_amount",
+        "string_amount",
+        "string_start_tick",
+        "string_steps",
+        "float_steps",
+        "bool_steps",
+        "null_model_hash",
+    ],
 )
 def test_read_log_malformed_line_raises_typed_error(text, line):
     with pytest.raises(InconsistentState, match=f"<stream>: line {line} "):
