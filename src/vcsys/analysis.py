@@ -15,11 +15,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .flatten import FlatGraph
-from .model import SinkNode, SourceNode, VcsysError
+from .model import SinkNode, SourceNode
 
 __all__ = [
     "LinkageClass",
-    "MissingTier",
     "GovernanceScore",
     "WeakLink",
     "WeakLinkageReport",
@@ -29,10 +28,6 @@ __all__ = [
     "weak_linkage_report",
     "value_added_profile",
 ]
-
-
-class MissingTier(VcsysError):
-    """An internal node has no tier, so linkages cannot be classified."""
 
 
 class LinkageClass(enum.Enum):
@@ -49,14 +44,10 @@ def classify_linkages(flat: FlatGraph) -> dict[str, LinkageClass]:
         if edge.tail not in nodes or edge.head not in nodes:
             out[edge.id] = LinkageClass.INTERFACE
             continue
-        tiers = []
-        for end in (edge.tail, edge.head):
-            tier = nodes[end].tier
-            if tier is None:
-                raise MissingTier(f"node {end!r} has no tier")
-            tiers.append(tier)
         out[edge.id] = (
-            LinkageClass.VERTICAL if tiers[0] != tiers[1] else LinkageClass.HORIZONTAL
+            LinkageClass.VERTICAL
+            if nodes[edge.tail].tier != nodes[edge.head].tier
+            else LinkageClass.HORIZONTAL
         )
     return out
 

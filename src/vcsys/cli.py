@@ -20,7 +20,7 @@ from . import sim
 from .export import export_dot, export_json, flat_graph_json
 from .flatten import FlatGraph, flatten
 from .model import DEFAULT_MAX_DEPTH, HistoryPolicy, SinkNode, SourceNode, VcsysError, depth
-from .sdl import SdlDocument, parse
+from .sdl import SdlDocument, fmt_qty, parse
 
 _EXIT_OK = 0
 _EXIT_FINDINGS = 1
@@ -99,7 +99,7 @@ def _flat_text(flat: FlatGraph) -> str:
         lines.append(f"node {node.id} role={node.role.value} tier={node.tier}{where}{variation}")
     for env in flat.env_nodes:
         if isinstance(env, SourceNode):
-            lines.append(f"env {env.id} source rate={env.rate:g} substance={env.substance}")
+            lines.append(f"env {env.id} source rate={fmt_qty(env.rate)} substance={env.substance}")
         elif isinstance(env, SinkNode):
             lines.append(f"env {env.id} sink scope={env.scope.value}")
         else:
@@ -108,7 +108,7 @@ def _flat_text(flat: FlatGraph) -> str:
         know = edge.knowledge
         lines.append(
             f"edge {edge.id} {edge.tail} -> {edge.head}"
-            f" {know.substance} cap={know.capacity:g}"
+            f" {know.substance} cap={fmt_qty(know.capacity)}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

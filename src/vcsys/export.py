@@ -14,6 +14,7 @@ from .model import (
     SourceNode,
     SystemSpec,
 )
+from .sdl import fmt_qty
 
 __all__ = ["export_json", "flat_graph_json", "export_dot"]
 
@@ -133,10 +134,6 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _fmt_cap(value: float) -> str:
-    return str(int(value)) if value.is_integer() else repr(value)
-
-
 def export_dot(flat: FlatGraph) -> str:
     """Graphviz digraph: sources as houses, end markets as inverted houses,
     actors labeled with role and tier. Zero-capacity edges draw dashed so
@@ -153,7 +150,7 @@ def export_dot(flat: FlatGraph) -> str:
         else:
             lines.append(f'  {_dot_id(env.id)} [shape=note label="{env.id}"]')
     for edge in flat.edges:
-        label = f"{edge.knowledge.substance} cap={_fmt_cap(edge.knowledge.capacity)}"
+        label = f"{edge.knowledge.substance} cap={fmt_qty(edge.knowledge.capacity)}"
         style = " style=dashed" if edge.knowledge.capacity == 0 else ""
         lines.append(
             f'  {_dot_id(edge.tail)} -> {_dot_id(edge.head)} [label="{label}"{style}]'

@@ -10,8 +10,13 @@ points by declaring entity-kind environment nodes and wiring interface
 edges to them; the enclosing level attaches edges to ``subsystem.port``
 endpoints. The enclosing edge's flow attributes govern the spliced
 connection; the inner binding edge only says which internal component
-stands behind the port. A binding with no matching outer edge, or an
-outer port reference with no inner binding, raises :class:`SpliceError`.
+stands behind the port.
+
+``flatten`` validates the description once before expanding it, and
+validation includes splicing: :func:`vcsys.model.validate` checks every
+port reference and every binding. A description that breaks any rule
+raises :class:`vcsys.model.InvalidSpec` carrying the full report, so the
+expansion itself never meets a malformed description.
 
 Edges multiply out as the Cartesian product of their endpoints'
 instances; expanded edges are numbered ``edgeid#k`` the same way nodes
@@ -27,25 +32,19 @@ from functools import cached_property
 
 from .model import (
     DEFAULT_MAX_DEPTH,
-    DepthExceeded,
     Edge,
     EdgeKnowledge,
     EntityNode,
     EnvNode,
     HistoryPolicy,
+    InvalidSpec,
     Role,
-    SinkNode,
-    SourceNode,
     SystemSpec,
-    VcsysError,
     split_endpoint,
+    validate,
 )
 
-__all__ = ["FlatNode", "FlatEdge", "FlatGraph", "SpliceError", "flatten"]
-
-
-class SpliceError(VcsysError):
-    """A subsystem connection cannot be wired into its enclosing level."""
+__all__ = ["FlatNode", "FlatEdge", "FlatGraph", "flatten"]
 
 
 @dataclass(frozen=True)
@@ -96,27 +95,24 @@ class FlatGraph:
         return {n.id: n for n in self.env_nodes}
 
 
-class _Expansion:
-    """Result of expanding one subsystem instance: its port bindings."""
-
-    __slots__ = ("ports", "binding_edges", "consumed")
-
-    def __init__(self) -> None:
-        # port id -> {"out": [flat ids feeding the port],
-        #             "in":  [flat ids fed from the port]}
-        self.ports: dict[str, dict[str, list[str]]] = {}
-        # (port id, direction) -> binding edge id, for the unmatched check
-        self.binding_edges: dict[tuple[str, str], str] = {}
-        self.consumed: set[tuple[str, str]] = set()
+# Port bindings of one expanded subsystem instance: port id ->
+# {"tail": flat ids feeding the port, "head": flat ids fed from the port}.
+_Ports = dict[str, dict[str, list[str]]]
 
 
 def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
-    """Expand a validated description into its atomic-level graph."""
+    """Expand a description into its atomic-level graph.
+
+    Raises :class:`InvalidSpec`, carrying the validation report, when the
+    description breaks any structural rule, splicing rules included.
+    """
+    report = validate(spec, max_depth)
+    if not report.ok:
+        raise InvalidSpec(report)
     type_counter: defaultdict[str, int] = defaultdict(int)
     edge_counter: defaultdict[str, int] = defaultdict(int)
     nodes: list[FlatNode] = []
     edges: list[FlatEdge] = []
-    env_order: list[EnvNode] = []
     env_seen: dict[str, EnvNode] = {}
 
     def new_instance(type_id: str) -> str:
@@ -134,16 +130,6 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
             )
         )
 
-    def add_env(node: EnvNode) -> None:
-        prior = env_seen.get(node.id)
-        if prior is None:
-            env_seen[node.id] = node
-            env_order.append(node)
-        elif prior != node:
-            raise SpliceError(
-                f"environment node {node.id!r} has conflicting definitions"
-            )
-
     def variation_labels(count: int, variations) -> list[str | None]:
         if not variations:
             return [None] * count
@@ -152,15 +138,11 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
             labels.extend([label] * n)
         return labels
 
-    def expand(s: SystemSpec, depth: int, path: tuple[str, ...], is_root: bool) -> _Expansion:
-        if depth > max_depth:
-            raise DepthExceeded(
-                f"nesting in {spec.id!r} exceeds max_depth={max_depth}"
-            )
+    def expand(s: SystemSpec, path: tuple[str, ...], is_root: bool) -> _Ports:
         know = s.knowledge_map()
         env_nodes = {n.id: n for n in s.interface.env_nodes}
         atoms: dict[str, list[str]] = {}
-        subs: dict[str, list[_Expansion]] = {}
+        subs: dict[str, list[_Ports]] = {}
 
         for comp in s.components:
             labels = variation_labels(comp.multiplicity, comp.variations)
@@ -177,34 +159,20 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
                 results = []
                 for k in range(comp.multiplicity):
                     iid = new_instance(comp.type_id)
-                    results.append(expand(comp.body, depth + 1, path + (iid,), False))
+                    results.append(expand(comp.body, path + (iid,), False))
                 subs[comp.type_id] = results
 
         def resolve(ref: str, side: str) -> list[str]:
             """Flat endpoints an edge endpoint stands for. side: tail|head."""
             base, port = split_endpoint(ref)
             if base in atoms:
-                if port is not None:
-                    raise SpliceError(f"atomic component {base!r} has no port {port!r}")
                 return atoms[base]
-            if base in subs:
-                if port is None:
-                    raise SpliceError(f"endpoint {base!r} is a subsystem and needs a port")
-                direction = "out" if side == "tail" else "in"
-                resolved: list[str] = []
-                for child in subs[base]:
-                    binding = child.ports.get(port)
-                    if binding is None or not binding[direction]:
-                        inward = "feeds" if direction == "out" else "is fed from"
-                        raise SpliceError(
-                            f"nothing inside {base!r} {inward} port {port!r}"
-                        )
-                    child.consumed.add((port, direction))
-                    resolved.extend(binding[direction])
-                return resolved
-            raise SpliceError(f"unresolved endpoint {ref!r}")
+            resolved: list[str] = []
+            for child_ports in subs[base]:
+                resolved.extend(child_ports[port][side])
+            return resolved
 
-        expansion = _Expansion()
+        ports: _Ports = {}
 
         for edge in s.network.edges:
             tails = resolve(edge.tail, "tail")
@@ -217,23 +185,16 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
             tail_base, _ = split_endpoint(edge.tail)
             head_base, _ = split_endpoint(edge.head)
             env_id = tail_base if tail_base in env_nodes else head_base
-            if env_id not in env_nodes:
-                raise SpliceError(
-                    f"interface edge {edge.id!r} touches no environment node"
-                )
             env_node = env_nodes[env_id]
-            port_binding = isinstance(env_node, EntityNode) and not is_root
-            if port_binding:
+            if isinstance(env_node, EntityNode) and not is_root:
                 # Exported port: remember what stands behind it, emit nothing.
-                binding = expansion.ports.setdefault(env_id, {"out": [], "in": []})
+                binding = ports.setdefault(env_id, {"tail": [], "head": []})
                 if head_base == env_id:
-                    binding["out"].extend(resolve(edge.tail, "tail"))
-                    expansion.binding_edges[(env_id, "out")] = edge.id
+                    binding["tail"].extend(resolve(edge.tail, "tail"))
                 else:
-                    binding["in"].extend(resolve(edge.head, "head"))
-                    expansion.binding_edges[(env_id, "in")] = edge.id
+                    binding["head"].extend(resolve(edge.head, "head"))
                 continue
-            add_env(env_node)
+            env_seen.setdefault(env_id, env_node)
             if tail_base == env_id:
                 for head in resolve(edge.head, "head"):
                     emit_edge(edge, env_id, head, know[edge.id])
@@ -242,33 +203,19 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
                     emit_edge(edge, tail, env_id, know[edge.id])
 
         # Declared environment objects survive flattening even without
-        # edges; only consumed ports splice away.
+        # edges; only bound ports splice away.
         for node in s.interface.env_nodes:
-            if isinstance(node, EntityNode) and node.id in expansion.ports:
-                continue
-            add_env(node)
+            if not (isinstance(node, EntityNode) and node.id in ports):
+                env_seen.setdefault(node.id, node)
 
-        # Every inner binding must have been consumed by an outer edge.
-        for type_id, results in sorted(subs.items()):
-            for expansion_child in results:
-                for (port, direction), edge_id in sorted(
-                    expansion_child.binding_edges.items()
-                ):
-                    if (port, direction) not in expansion_child.consumed:
-                        raise SpliceError(
-                            f"interface edge {edge_id!r} of subsystem {type_id!r}"
-                            f" has no matching connection at the enclosing level"
-                            f" (port {port!r})"
-                        )
+        return ports
 
-        return expansion
-
-    expand(spec, 0, (), True)
+    expand(spec, (), True)
     return FlatGraph(
         id=spec.id,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        env_nodes=tuple(sorted(env_order, key=lambda n: n.id)),
+        env_nodes=tuple(sorted(env_seen.values(), key=lambda n: n.id)),
         history_policy=spec.history_policy,
         conserved=spec.boundary.conserved_substances,
     )

@@ -9,9 +9,10 @@ history policy saying whether simulation runs keep a transition record.
 Descriptions nest. A component is either atomic (a chain actor with a role
 and a tier position) or a whole subsystem one level further down, and the
 nesting bottoms out where every component is atomic. ``validate`` checks
-every structural rule and reports violations as data rather than raising;
-``depth`` and ``subsystem_at`` navigate the component tree. Expansion into
-a runnable graph lives in :mod:`vcsys.flatten`.
+every structural rule, the port wiring that splicing needs included, and
+reports violations as data rather than raising; ``depth`` and
+``subsystem_at`` navigate the component tree. Expansion into a runnable
+graph lives in :mod:`vcsys.flatten`.
 
 Everything here is immutable after construction; constructors normalize
 ordering (components, edges and environment nodes sort by id) so that
@@ -351,6 +352,16 @@ class ValidationReport:
         return len(self.violations)
 
 
+class InvalidSpec(VcsysError):
+    """A description breaks structural rules; ``report`` holds every one."""
+
+    def __init__(self, report: ValidationReport) -> None:
+        first = report.violations[0]
+        more = f" (and {len(report) - 1} more)" if len(report) > 1 else ""
+        super().__init__(f"{first.path}: {first.message}{more}")
+        self.report = report
+
+
 def _is_quantity(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
 
@@ -360,12 +371,15 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
 
     Violations come back as data with tree paths; an empty report means the
     description is well-formed: all nesting, graph, boundary and knowledge
-    invariants hold and every edge's substance is allowed by the boundary.
+    invariants hold, every edge's substance is allowed by the boundary, and
+    every port splices: ``sub.port`` names an entity node of ``sub`` that is
+    fed from inside when used as a tail and feeds inside when used as a
+    head, and every binding edge inside is used so by the enclosing level.
     Arbitrary candidate descriptions are accepted; nothing raises.
     """
     out: list[Violation] = []
     env_seen: dict[str, tuple[str, EnvNode]] = {}
-    _validate_level(spec, spec.id, 0, max_depth, None, env_seen, out)
+    _validate_level(spec, spec.id, 0, max_depth, None, None, env_seen, out)
     return ValidationReport(tuple(out))
 
 
@@ -375,9 +389,12 @@ def _validate_level(
     depth: int,
     max_depth: int,
     parent_level: int | None,
+    ports: dict[str, dict[str, bool]] | None,
     env_seen: dict[str, tuple[str, EnvNode]],
     out: list[Violation],
 ) -> None:
+    # ports: this system's port index, filled in by the enclosing level;
+    # None at the root, whose entity nodes are not ports.
     def bad(message: str, at: str | None = None) -> None:
         out.append(Violation(at or path, message))
 
@@ -462,7 +479,22 @@ def _validate_level(
                 f"{path}/boundary",
             )
 
-    def check_internal_ref(ref: str, epath: str) -> None:
+    # One port index per subsystem type: port id -> {side: used}, where an
+    # enclosing edge may take the port as its "tail" when a binding edge
+    # inside feeds the port, and as its "head" when the port feeds one.
+    port_index: dict[str, dict[str, dict[str, bool]]] = {}
+    for type_id, sub in subsystems.items():
+        sides = {n.id: {} for n in sub.interface.env_nodes if isinstance(n, EntityNode)}
+        for edge in sub.interface.edges:
+            head_base, _ = split_endpoint(edge.head)
+            tail_base, _ = split_endpoint(edge.tail)
+            if head_base in sides:
+                sides[head_base]["tail"] = False
+            if tail_base in sides:
+                sides[tail_base]["head"] = False
+        port_index[type_id] = sides
+
+    def check_internal_ref(ref: str, side: str, epath: str) -> None:
         base, port = split_endpoint(ref)
         if base in atomics:
             if port is not None:
@@ -470,8 +502,13 @@ def _validate_level(
         elif base in subsystems:
             if port is None:
                 bad(f"endpoint {base!r} is a subsystem and needs a port", epath)
-            elif port not in subsystems[base].interface.env_ids():
+            elif port not in port_index[base]:
                 bad(f"subsystem {base!r} exports no port {port!r}", epath)
+            elif side not in port_index[base][port]:
+                inward = "feeds" if side == "tail" else "is fed from"
+                bad(f"nothing inside {base!r} {inward} port {port!r}", epath)
+            else:
+                port_index[base][port][side] = True
         else:
             bad(f"unresolved endpoint {ref!r}", epath)
 
@@ -482,14 +519,14 @@ def _validate_level(
         if edge.id in edge_ids:
             bad(f"duplicate edge id {edge.id!r}", epath)
         edge_ids.add(edge.id)
-        for ref in (edge.tail, edge.head):
+        for ref, side in ((edge.tail, "tail"), (edge.head, "head")):
             base, _ = split_endpoint(ref)
             if base in env_by_id:
                 bad(f"environment node {base!r} appears in the internal network", epath)
                 continue
             if base in seen_types and base not in spec.network.nodes:
                 bad(f"edge endpoint {ref!r} is outside the network's node set", epath)
-            check_internal_ref(ref, epath)
+            check_internal_ref(ref, side, epath)
     for node in spec.network.nodes:
         if node not in seen_types:
             bad(f"network node {node!r} is not a declared component", f"{path}/network")
@@ -509,10 +546,10 @@ def _validate_level(
             which = "two" if tail_env else "no"
             bad(f"interface edge has {which} environment endpoints", epath)
             continue
-        env_ref, env_id, internal_ref = (
-            (edge.tail, tail_base, edge.head)
+        env_ref, env_id, internal_ref, internal_side = (
+            (edge.tail, tail_base, edge.head, "head")
             if tail_env
-            else (edge.head, head_base, edge.tail)
+            else (edge.head, head_base, edge.tail, "tail")
         )
         if split_endpoint(env_ref)[1] is not None:
             bad(f"environment node {env_id!r} has no ports", epath)
@@ -521,7 +558,15 @@ def _validate_level(
             bad(f"source {env_id!r} may only appear as an edge tail", epath)
         if isinstance(node, SinkNode) and not head_env:
             bad(f"sink {env_id!r} may only appear as an edge head", epath)
-        check_internal_ref(internal_ref, epath)
+        # A port fed from inside (``plot -> out``) is a tail one level up.
+        is_port = ports is not None and isinstance(node, EntityNode)
+        if is_port and not ports[env_id][internal_side]:
+            bad(
+                f"port {env_id!r} is bound here but no edge of the enclosing"
+                f" level uses it as a {internal_side}",
+                epath,
+            )
+        check_internal_ref(internal_ref, internal_side, epath)
 
     # Knowledge: one entry per edge, each entry well-formed.
     know = spec.knowledge_map()
@@ -547,7 +592,14 @@ def _validate_level(
     # Recurse.
     for type_id, sub in sorted(subsystems.items()):
         _validate_level(
-            sub, f"{path}/{type_id}", depth + 1, max_depth, spec.level, env_seen, out
+            sub,
+            f"{path}/{type_id}",
+            depth + 1,
+            max_depth,
+            spec.level,
+            port_index[type_id],
+            env_seen,
+            out,
         )
 
 

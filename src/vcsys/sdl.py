@@ -519,7 +519,9 @@ def parse(
     return SdlDocument(source_name, None, diagnostics)
 
 
-def _fmt_qty(value: float) -> str:
+def fmt_qty(value: float) -> str:
+    """Exact text for a quantity: integral values without a fraction,
+    anything else as the shortest repr that reads back to the same float."""
     if float(value).is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))
@@ -548,7 +550,7 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
     for node in spec.interface.env_nodes:
         if isinstance(node, SourceNode):
             lines.append(
-                f"{pad}source {node.id} rate={_fmt_qty(node.rate)}"
+                f"{pad}source {node.id} rate={fmt_qty(node.rate)}"
                 f" substance={node.substance}"
             )
         elif isinstance(node, SinkNode):
@@ -560,9 +562,9 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
         entry = know.get(edge.id)
         attrs = ""
         if entry is not None:
-            attrs = f" substance={entry.substance} capacity={_fmt_qty(entry.capacity)}"
+            attrs = f" substance={entry.substance} capacity={fmt_qty(entry.capacity)}"
             if entry.strength != 1.0:
-                attrs += f" strength={_fmt_qty(entry.strength)}"
+                attrs += f" strength={fmt_qty(entry.strength)}"
             attrs += " "
         lines.append(f"{pad}edge {edge.id} {edge.tail} -> {edge.head} {{{attrs}}}")
     if spec.boundary != BoundarySpec():

@@ -227,6 +227,53 @@ system "demo" {
 """
 
 
+# Port-wiring mistakes that only the splice rules catch: name -> (text,
+# line and column of the offending edge's id, first diagnostic).
+WIRING_PROBES = {
+    "unbound_port": (
+        """\
+system "estate" {
+  component farm {
+    component plot atomic role=producer tier=0
+    entity out
+    edge b1 plot -> out { substance=grain capacity=1 }
+  }
+  component T atomic role=buyer tier=1
+}
+""",
+        (5, 10),
+    ),
+    "wrong_direction": (
+        """\
+system "estate" {
+  component farm {
+    component plot atomic role=producer tier=0
+    entity out
+    edge b1 plot -> out { substance=grain capacity=1 }
+  }
+  component T atomic role=buyer tier=1
+  edge e1 T -> farm.out { substance=grain capacity=1 }
+}
+""",
+        (8, 8),
+    ),
+    "source_as_port": (
+        """\
+system "estate" {
+  component farm {
+    component plot atomic role=producer tier=0
+    source S rate=1 substance=grain
+    edge b1 S -> plot { substance=grain capacity=1 }
+  }
+  component T atomic role=buyer tier=1
+  edge e1 farm.S -> T { substance=grain capacity=1 }
+}
+""",
+        (8, 8),
+    ),
+}
+
+
 def _split_total(rng: random.Random, total: int) -> list[int]:
     parts = rng.randint(1, min(3, total))
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []

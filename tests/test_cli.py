@@ -9,6 +9,8 @@ import pytest
 
 from vcsys.cli import main
 
+from .helpers import WIRING_PROBES
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO = str(FIXTURES / "demo.vcs")
 NESTED = str(FIXTURES / "nested.vcs")
@@ -54,6 +56,36 @@ def test_flatten_text(capsys):
     out = capsys.readouterr().out
     assert "node P#1 role=producer tier=0" in out
     assert "edge e_pt#1 P#1 -> T#1 grain cap=3" in out
+
+
+def test_flatten_text_prints_quantities_exactly(tmp_path, capsys):
+    model = tmp_path / "qty.vcs"
+    model.write_text(
+        'system "qty" {\n'
+        "  component P atomic role=producer tier=0\n"
+        "  source S1 rate=1234567 substance=grain\n"
+        "  source S2 rate=0.1234567 substance=grain\n"
+        "  edge e1 S1 -> P { substance=grain capacity=0.1234567 }\n"
+        "  edge e2 S2 -> P { substance=grain capacity=1234567 }\n"
+        "}\n"
+    )
+    assert main(["flatten", str(model)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "env S1 source rate=1234567 substance=grain" in out
+    assert "env S2 source rate=0.1234567 substance=grain" in out
+    assert "edge e1#1 S1 -> P#1 grain cap=0.1234567" in out
+    assert "edge e2#1 S2 -> P#1 grain cap=1234567" in out
+
+
+@pytest.mark.parametrize("probe", sorted(WIRING_PROBES))
+def test_validate_strict_locates_port_wiring_violation(probe, tmp_path, capsys):
+    text, (line, column) = WIRING_PROBES[probe]
+    model = tmp_path / f"{probe}.vcs"
+    model.write_text(text)
+    assert main(["validate", "--strict", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert f"{model}:{line}:{column}: error:" in captured.err
 
 
 def test_simulate_three_ticks_with_log(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Core model: validation, depth, navigation, flattening."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,11 +14,11 @@ from vcsys import (
     EdgeKnowledge,
     EntityNode,
     HistoryPolicy,
+    InvalidSpec,
     PathHitsAtomic,
     PathNotFound,
     Role,
     SourceNode,
-    SpliceError,
     depth,
     flatten,
     make_system,
@@ -292,9 +293,108 @@ def test_flatten_unwired_port_raises():
             ComponentDecl("T", Atomic(Role.BUYER, 1)),
         ],
     )
-    assert validate(outer).ok
-    with pytest.raises(SpliceError):
+    assert not validate(outer).ok
+    with pytest.raises(InvalidSpec):
         flatten(outer)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dataclasses.replace(demo_chain_spec(), knowledge=()),
+        make_system(
+            "none", components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0), multiplicity=0)]
+        ),
+        make_system("untiered", components=[ComponentDecl("P", Atomic(Role.PRODUCER, None))]),
+    ],
+    ids=["no_knowledge", "multiplicity_zero", "no_tier"],
+)
+def test_flatten_rejects_invalid_spec_with_typed_error(spec):
+    with pytest.raises(InvalidSpec) as exc:
+        flatten(spec)
+    assert exc.value.report == validate(spec)
+    assert not exc.value.report.ok
+
+
+def _levels(spec, path=()):
+    """Every system in the tree with the component path leading to it."""
+    yield path, spec
+    for comp in spec.components:
+        if not comp.is_atomic:
+            yield from _levels(comp.body, path + (comp.type_id,))
+
+
+def _replace_at(spec, path, new):
+    if not path:
+        return new
+    return dataclasses.replace(
+        spec,
+        components=[
+            dataclasses.replace(comp, body=_replace_at(comp.body, path[1:], new))
+            if comp.type_id == path[0]
+            else comp
+            for comp in spec.components
+        ],
+    )
+
+
+def _mutate(rng, spec):
+    """Drop one edge (with its flow attributes), drop one flow-attribute
+    entry, or swap the tail and head of one edge with a port reference,
+    at a random level of the tree. (None, None) when there is no edge."""
+    options = []
+    for path, s in _levels(spec):
+        for edge in s.all_edges():
+            options.append(("drop_edge", path, s, edge))
+            if "." in edge.tail or "." in edge.head:
+                options.append(("swap_port", path, s, edge))
+        for edge_id, _ in s.knowledge:
+            options.append(("drop_knowledge", path, s, edge_id))
+    kinds = sorted({kind for kind, *_ in options})
+    if not kinds:
+        return None, None
+    kind = rng.choice(kinds)
+    _, path, s, target = rng.choice([o for o in options if o[0] == kind])
+    if kind == "drop_knowledge":
+        level = dataclasses.replace(
+            s, knowledge=[kv for kv in s.knowledge if kv[0] != target]
+        )
+    else:
+        def edit(edges):
+            if kind == "drop_edge":
+                return [e for e in edges if e.id != target.id]
+            return [Edge(e.id, e.head, e.tail) if e.id == target.id else e for e in edges]
+
+        knowledge = s.knowledge
+        if kind == "drop_edge":
+            knowledge = [kv for kv in knowledge if kv[0] != target.id]
+        level = dataclasses.replace(
+            s,
+            network=dataclasses.replace(s.network, edges=edit(s.network.edges)),
+            interface=dataclasses.replace(s.interface, edges=edit(s.interface.edges)),
+            knowledge=knowledge,
+        )
+    return kind, _replace_at(spec, path, level)
+
+
+def test_flatten_agrees_with_validate_on_mutants():
+    rng = random.Random(31)
+    outcomes = {}
+    while sum(outcomes.values()) < 200:
+        kind, mutant = _mutate(rng, random_spec(rng, max_depth=3))
+        if mutant is None:
+            continue  # nothing to mutate: no edges at any level
+        report = validate(mutant)
+        if report.ok:
+            flat = flatten(mutant)
+            assert len(flat.nodes) == expected_node_count(mutant)
+            assert len(flat.edges) == expected_edge_count(mutant)
+        else:
+            with pytest.raises(InvalidSpec):
+                flatten(mutant)
+        outcomes[kind, report.ok] = outcomes.get((kind, report.ok), 0) + 1
+    assert {kind for kind, _ in outcomes} == {"drop_edge", "drop_knowledge", "swap_port"}
+    assert {ok for _, ok in outcomes} == {True, False}
 
 
 def test_flatten_keeps_unconnected_env_nodes():

@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,13 @@ from vcsys import (
 )
 from vcsys.flatten import FlatGraph
 
-from .helpers import DEMO_SDL, demo_chain_spec, nested_two_level_spec, random_spec
+from .helpers import (
+    DEMO_SDL,
+    WIRING_PROBES,
+    demo_chain_spec,
+    nested_two_level_spec,
+    random_spec,
+)
 
 
 # --- parse ------------------------------------------------------------------
@@ -69,6 +76,16 @@ def test_parse_semantic_violation_located():
     assert doc.root is None
     assert any("unresolved endpoint" in d.message for d in doc.diagnostics)
     assert doc.diagnostics[0].line == 3
+
+
+@pytest.mark.parametrize("probe", sorted(WIRING_PROBES))
+def test_parse_locates_port_wiring_violation(probe):
+    text, position = WIRING_PROBES[probe]
+    doc = parse(text)
+    assert doc.root is None
+    first = doc.diagnostics[0]
+    assert (first.line, first.column) == position
+    assert text.splitlines()[first.line - 1].lstrip().startswith("edge ")
 
 
 def test_parse_accepts_bytes_and_rejects_bad_utf8():
