@@ -8,7 +8,6 @@ from typing import Any
 from .flatten import FlatGraph
 from .model import (
     BoundarySpec,
-    EntityNode,
     EnvNode,
     SinkNode,
     SourceNode,

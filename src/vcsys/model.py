@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 DEFAULT_MAX_DEPTH = 8
@@ -436,10 +436,14 @@ def _validate_level(
                 )
         if isinstance(comp.body, Atomic):
             atomics.add(comp.type_id)
+            if not isinstance(comp.body.role, Role):
+                bad(f"role must be a Role, got {comp.body.role!r}", cpath)
             if not isinstance(comp.body.tier, int) or comp.body.tier < 0:
                 bad(f"tier must be a non-negative integer, got {comp.body.tier!r}", cpath)
-        else:
+        elif isinstance(comp.body, SystemSpec):
             subsystems[comp.type_id] = comp.body
+        else:
+            bad(f"body must be Atomic or SystemSpec, got {comp.body!r}", cpath)
 
     # Environment nodes.
     env_by_id: dict[str, EnvNode] = {}

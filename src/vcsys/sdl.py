@@ -18,12 +18,16 @@ statement, unambiguous with single-token lookahead::
     }
 
 Comments run from ``#`` to end of line. Identifiers are
-``[A-Za-z_][A-Za-z0-9_]*``; quantities are non-negative decimals.
+``[A-Za-z_][A-Za-z0-9_]*``; quantities are non-negative decimals with an
+optional exponent (``1e-09``), and integers are read exactly.
 ``parse`` is total: any input (including arbitrary bytes) yields a
 document whose diagnostics explain what went wrong, and a document has a
 root exactly when it has no diagnostics. ``print_spec`` emits the
 canonical form (declarations sorted by id, two-space indent), which
 reparses to an equal description.
+
+Positions are token offsets into the text; they are turned into 1-based
+line and column only for the diagnostics ``parse`` reports.
 
 The textual form has one name per nested system (the component's type
 id), so descriptions built in code round-trip exactly when each nested
@@ -34,7 +38,9 @@ such descriptions.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     DEFAULT_MAX_DEPTH,
@@ -68,6 +74,7 @@ _TOKEN = re.compile(
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<arrow>->)
     | (?P<punct>[{}\[\]=*,.:])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -93,47 +100,38 @@ class SdlDocument:
 
 
 class _ParseError(Exception):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-        self.message = message
+    """A syntax error; ``args`` is (offset, message)."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "string" | literal text for punctuation
+class _Token(NamedTuple):
+    kind: str  # "number" | "ident" | "string" | "eof" | literal text for punctuation
     text: str
-    line: int
-    column: int
+    pos: int  # offset into the text
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            col = pos - line_start + 1
-            if ch == '"':
-                raise _ParseError(line, col, "unterminated string")
-            raise _ParseError(line, col, f"unexpected character {ch!r}")
-        col = pos - line_start + 1
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "skip":
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        elif kind in ("arrow", "punct"):
-            tokens.append(_Token(value, value, line, col))
-        else:
-            tokens.append(_Token(kind, value, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            continue
+        value = m.group()
+        if kind == "bad":
+            if value == '"':
+                raise _ParseError(m.start(), "unterminated string")
+            raise _ParseError(m.start(), f"unexpected character {value!r}")
+        if kind in ("arrow", "punct"):
+            kind = value
+        tokens.append(_Token(kind, value, m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+def _line_col(newlines: list[int], pos: int) -> tuple[int, int]:
+    """1-based line and column of offset ``pos`` in a text whose newline
+    characters sit at the sorted offsets ``newlines``."""
+    line = bisect_left(newlines, pos)
+    return line + 1, pos - (newlines[line - 1] if line else -1)
 
 
 class _Stream:
@@ -142,7 +140,8 @@ class _Stream:
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        # Never past eof: next() stops there, and peek(1) follows an identifier.
+        return self._tokens[self._pos + ahead]
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -152,7 +151,7 @@ class _Stream:
 
     def error(self, message: str, tok: _Token | None = None) -> _ParseError:
         tok = tok or self.peek()
-        return _ParseError(tok.line, tok.column, message)
+        return _ParseError(tok.pos, message)
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
@@ -184,17 +183,19 @@ def _escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _integer(tok: _Token) -> int | None:
+    """The exact integer a number token spells, or None if it is no integer."""
+    if tok.kind != "number" or not float(tok.text).is_integer():
+        return None
+    return int(tok.text) if tok.text.isdecimal() else int(float(tok.text))
+
+
 def _int_value(stream: _Stream, what: str) -> int:
     tok = stream.expect("number", f"an integer {what}")
-    value = float(tok.text)
-    if not value.is_integer():
+    value = _integer(tok)
+    if value is None:
         raise stream.error(f"{what} must be an integer, got {tok.text}", tok)
-    return int(value)
-
-
-def _quantity(stream: _Stream, what: str) -> float:
-    tok = stream.expect("number", f"a quantity for {what}")
-    return float(tok.text)
+    return value
 
 
 def _endpoint(stream: _Stream) -> str:
@@ -234,7 +235,7 @@ def _parse_body(
     sys_id: str,
     level: int,
     path: str,
-    positions: dict[str, tuple[int, int]],
+    positions: dict[str, int],
 ) -> SystemSpec:
     components: list[ComponentDecl] = []
     env: list[EnvNode] = []
@@ -252,7 +253,7 @@ def _parse_body(
         if tok.text == "component":
             stream.next()
             name_tok = stream.expect("ident", "a component name")
-            positions[f"{path}/{name_tok.text}"] = (name_tok.line, name_tok.column)
+            positions[f"{path}/{name_tok.text}"] = name_tok.pos
             multiplicity = 1
             if stream.accept("*"):
                 multiplicity = _int_value(stream, "multiplicity")
@@ -288,9 +289,10 @@ def _parse_body(
                         + ", ".join(sorted(_ROLES)),
                         role_tok,
                     )
-                if not tier_tok.text or tier_tok.kind != "number" or not float(tier_tok.text).is_integer():
+                tier = _integer(tier_tok)
+                if tier is None:
                     raise stream.error("tier must be an integer", tier_tok)
-                body: Atomic | SystemSpec = Atomic(role, int(float(tier_tok.text)))
+                body: Atomic | SystemSpec = Atomic(role, tier)
             elif stream.peek().kind == "{":
                 stream.next()
                 body = _parse_body(
@@ -312,7 +314,7 @@ def _parse_body(
         elif tok.text == "source":
             stream.next()
             name_tok = stream.expect("ident", "a source name")
-            positions[f"{path}/env/{name_tok.text}"] = (name_tok.line, name_tok.column)
+            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
             attrs = _attr_pairs(stream)
             rate_tok = attrs.pop("rate", None)
             substance_tok = attrs.pop("substance", None)
@@ -330,7 +332,7 @@ def _parse_body(
         elif tok.text == "sink":
             stream.next()
             name_tok = stream.expect("ident", "a sink name")
-            positions[f"{path}/env/{name_tok.text}"] = (name_tok.line, name_tok.column)
+            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
             attrs = _attr_pairs(stream)
             scope_tok = attrs.pop("scope", None)
             if attrs or scope_tok is None:
@@ -346,14 +348,14 @@ def _parse_body(
         elif tok.text == "entity":
             stream.next()
             name_tok = stream.expect("ident", "an entity name")
-            positions[f"{path}/env/{name_tok.text}"] = (name_tok.line, name_tok.column)
+            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
             env.append(EntityNode(name_tok.text))
 
         elif tok.text == "edge":
             stream.next()
             name_tok = stream.expect("ident", "an edge id")
-            positions[f"{path}/edges/{name_tok.text}"] = (name_tok.line, name_tok.column)
-            positions[f"{path}/knowledge/{name_tok.text}"] = (name_tok.line, name_tok.column)
+            positions[f"{path}/edges/{name_tok.text}"] = name_tok.pos
+            positions[f"{path}/knowledge/{name_tok.text}"] = name_tok.pos
             tail = _endpoint(stream)
             stream.expect("->", "'->'")
             head = _endpoint(stream)
@@ -389,7 +391,7 @@ def _parse_body(
         elif tok.text == "boundary":
             if boundary is not None:
                 raise stream.error("duplicate boundary block")
-            positions[f"{path}/boundary"] = (tok.line, tok.column)
+            positions[f"{path}/boundary"] = tok.pos
             stream.next()
             stream.expect("{")
             allow: frozenset[str] | None = None
@@ -448,9 +450,8 @@ def _parse_body(
     )
 
 
-def _position_for(
-    positions: dict[str, tuple[int, int]], violation_path: str
-) -> tuple[int, int]:
+def _position_for(positions: dict[str, int], violation_path: str) -> int:
+    """Offset of the declaration nearest the violation path, else 0."""
     path = violation_path
     while path:
         if path in positions:
@@ -458,7 +459,7 @@ def _position_for(
         if "/" not in path:
             break
         path = path.rsplit("/", 1)[0]
-    return (1, 1)
+    return 0
 
 
 def parse(
@@ -481,13 +482,14 @@ def parse(
                 None,
                 (Diagnostic("error", 1, 1, f"input is not valid UTF-8: {exc.reason}"),),
             )
-    positions: dict[str, tuple[int, int]] = {}
+    positions: dict[str, int] = {}
+    errors: list[tuple[int, str]]  # (offset, message)
     try:
         stream = _Stream(_lex(text))
         stream.expect_keyword("system")
         name_tok = stream.expect("string", "a quoted system name")
         sys_id = _unescape(name_tok.text)
-        positions[sys_id] = (name_tok.line, name_tok.column)
+        positions[sys_id] = name_tok.pos
         level = 0
         if stream.at_keyword("level"):
             stream.next()
@@ -498,23 +500,20 @@ def parse(
         if stream.peek().kind != "eof":
             raise stream.error("unexpected input after the closing brace")
     except _ParseError as exc:
-        return SdlDocument(
-            source_name, None, (Diagnostic("error", exc.line, exc.column, exc.message),)
-        )
+        errors = [exc.args]
     except RecursionError:
-        return SdlDocument(
-            source_name, None, (Diagnostic("error", 1, 1, "input nests too deeply"),)
-        )
-    report = validate(root, max_depth)
-    if report.ok:
-        return SdlDocument(source_name, root, ())
+        errors = [(0, "input nests too deeply")]
+    else:
+        report = validate(root, max_depth)
+        if report.ok:
+            return SdlDocument(source_name, root, ())
+        errors = [
+            (_position_for(positions, v.path), f"{v.path}: {v.message}")
+            for v in report.violations
+        ]
+    newlines = [m.start() for m in re.finditer("\n", text)]
     diagnostics = tuple(
-        Diagnostic(
-            "error",
-            *_position_for(positions, violation.path),
-            f"{violation.path}: {violation.message}",
-        )
-        for violation in report.violations
+        Diagnostic("error", *_line_col(newlines, pos), message) for pos, message in errors
     )
     return SdlDocument(source_name, None, diagnostics)
 

@@ -97,6 +97,18 @@ def test_validate_multiplicity_and_variations():
     assert validate(good).ok
 
 
+@pytest.mark.parametrize(
+    "body", [Atomic("producer", 0), None], ids=["role_not_a_role", "body_none"]
+)
+def test_validate_rejects_malformed_component_body(body):
+    spec = make_system("odd", components=[ComponentDecl("P", body)])
+    report = validate(spec)
+    assert not report.ok
+    assert report.violations[0].path == "odd/P"
+    with pytest.raises(InvalidSpec):
+        flatten(spec)
+
+
 def test_validate_source_direction_and_env_collisions():
     spec = make_system(
         "envy",

@@ -88,6 +88,62 @@ def test_parse_locates_port_wiring_violation(probe):
     assert text.splitlines()[first.line - 1].lstrip().startswith("edge ")
 
 
+# Each case: text and the exact (line, column, message) of every diagnostic.
+DIAGNOSTIC_POSITIONS = {
+    "bad character after CRLF, tab and comment": (
+        'system "d" {\r\n  # note\r\n\tcomponent P atomic role=producer tier=0 # ok\r\n\t$\r\n}\r\n',
+        [(4, 2, "unexpected character '$'")],
+    ),
+    "unterminated string": (
+        'system "d" {\n  source S rate=1 substance=g\n  entity "R\n}\n',
+        [(3, 10, "unterminated string")],
+    ),
+    "end of input after a newline": (
+        'system "d" {\n  component P atomic role=producer tier=0\n',
+        [(3, 1, "expected }, found 'end of input'")],
+    ),
+    "end of input without a newline": (
+        'system "d" {\n  component P atomic role=producer tier=0',
+        [(2, 42, "expected }, found 'end of input'")],
+    ),
+    "violation at a nested component": (
+        'system "d" {\n  component farm {\n    component P atomic role=producer tier=0\n'
+        "    component Q * 2 variations=[a:1] atomic role=buyer tier=1\n  }\n}\n",
+        [(4, 15, "d/farm/Q: variation counts sum to 1, expected multiplicity 2")],
+    ),
+    "violation at an env node": (
+        'system "d" {\n  source S rate=1 substance=g\n  sink M scope=local\n'
+        "    source S rate=2 substance=g\n}\n",
+        [
+            (4, 12, "d/env/S: duplicate environment node 'S'"),
+            (4, 12, "d/env/S: environment node 'S' conflicts with the definition at d/env/S"),
+        ],
+    ),
+    "violation at a boundary block": (
+        'system "d" {\n  entity R\n    boundary { allow=[g] conserve=[h] }\n}\n',
+        [(3, 5, "d/boundary: conserved substances not allowed by the boundary: h")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_POSITIONS))
+def test_parse_diagnostic_positions(case):
+    text, expected = DIAGNOSTIC_POSITIONS[case]
+    doc = parse(text)
+    assert doc.root is None
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == expected
+
+
+def test_parse_reads_integer_literals_exactly():
+    big = 12345678901234567891
+    text = f'system "d" level {big} {{\n  component P atomic role=producer tier={big}\n}}\n'
+    doc = parse(text)
+    assert doc.ok, doc.diagnostics
+    assert doc.root.level == big
+    assert doc.root.components[0].body.tier == big
+    assert print_spec(doc.root) == text
+
+
 def test_parse_accepts_bytes_and_rejects_bad_utf8():
     assert parse(b'system "demo" { }').ok
     doc = parse(b'\xff\xfe system')
@@ -105,6 +161,7 @@ def test_parse_never_shares_state():
 def test_parse_is_total_on_arbitrary_text(text):
     doc = parse(text)
     assert doc.root is not None or doc.diagnostics
+    _assert_positions_inside(text, doc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,6 +169,18 @@ def test_parse_is_total_on_arbitrary_text(text):
 def test_parse_is_total_on_arbitrary_bytes(blob):
     doc = parse(blob)
     assert doc.root is not None or doc.diagnostics
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    _assert_positions_inside(text, doc)
+
+
+def _assert_positions_inside(text, doc):
+    lines = text.split("\n")
+    for d in doc.diagnostics:
+        assert 1 <= d.line <= len(lines), d
+        assert 1 <= d.column <= len(lines[d.line - 1]) + 1, d
 
 
 # --- print ------------------------------------------------------------------
