@@ -1,11 +1,17 @@
 """Flow dynamics: stepping, running, history, replay, conservation."""
 
+import contextlib
 import dataclasses
 import io
+import json
 import math
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcsys import (
     Atomic,
@@ -14,8 +20,10 @@ from vcsys import (
     Edge,
     EdgeKnowledge,
     HashMismatch,
+    HistoryLog,
     HistoryPolicy,
     InconsistentState,
+    LogHeader,
     NegativeStock,
     NullHistory,
     Role,
@@ -23,16 +31,19 @@ from vcsys import (
     SimulationState,
     SinkNode,
     SourceNode,
+    TransitionRecord,
     conservation_check,
     flatten,
     init_state,
     make_system,
+    parse,
     read_log,
     replay,
     run,
     step,
     write_log,
 )
+from vcsys import sim
 
 from .helpers import demo_chain_spec, random_flow_model
 from .oracles import reference_run
@@ -350,6 +361,7 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
         (LOG_HEADER + '\n' + RECORD.replace('"grain"', '3'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('4.0', 'true'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('4.0', '"4.0"'), 2),
+        (LOG_HEADER + '\n' + RECORD.replace('4.0', '1' + '0' * 400), 2),
         (LOG_HEADER.replace('"start_tick": 0', '"start_tick": "0"') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": "1"') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": 2.5') + '\n', 1),
@@ -367,6 +379,7 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
         "int_substance",
         "bool_amount",
         "string_amount",
+        "huge_int_amount",
         "string_start_tick",
         "string_steps",
         "float_steps",
@@ -377,6 +390,158 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
 def test_read_log_malformed_line_raises_typed_error(text, line):
     with pytest.raises(InconsistentState, match=f"<stream>: line {line} "):
         read_log(io.StringIO(text))
+
+
+# --- log format -------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_write_log_reproduces_golden_log(tmp_path):
+    doc = parse((FIXTURES / "demo.vcs").read_text(encoding="utf-8"))
+    _, log = run(flatten(doc.root), 20)
+    path = tmp_path / "demo.jsonl"
+    write_log(log, path)
+    assert path.read_bytes() == (FIXTURES / "demo.steps20.jsonl").read_bytes()
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _NotedRecord(TransitionRecord):
+    note: str = "extra"
+
+
+_log_strings = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['e_sp#1', 'q"uote', "back\\slash", "tab\tnl\n\x00\x1f\x7f", "é€😀"]),
+    st.builds(_Str, st.text(max_size=4)),
+)
+_log_amounts = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1.5e-7, math.nan, math.inf, -math.inf]),
+    st.builds(_Float, st.floats()),
+)
+_log_ticks = st.one_of(st.integers(), st.booleans(), st.builds(_Int, st.integers()))
+_log_records = st.one_of(
+    st.builds(TransitionRecord, _log_ticks, _log_strings, _log_strings, _log_amounts),
+    st.builds(_NotedRecord, _log_ticks, _log_strings, _log_strings, _log_amounts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_log_records, max_size=8))
+def test_write_log_matches_json_dumps_per_record(records):
+    log = HistoryLog(LogHeader("h", 0, 1, HistoryPolicy.RECORD), tuple(records))
+    buffer = io.StringIO()
+    write_log(log, buffer)
+    header = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "record"}\n'
+    assert buffer.getvalue() == header + "".join(json.dumps(vars(r)) + "\n" for r in records)
+
+
+def _read_outcomes(text):
+    """read_log on `text` with and without the fast record-line match.
+
+    Each outcome is the records' repr or the InconsistentState message.
+    """
+    outcomes = []
+    no_match = mock.patch.object(sim, "_record_line", lambda line: None)
+    for patch in (contextlib.nullcontext(), no_match):
+        with patch:
+            try:
+                outcomes.append(repr(read_log(io.StringIO(text)).records))
+            except InconsistentState as exc:
+                outcomes.append(f"InconsistentState: {exc}")
+    return outcomes
+
+
+def _with_tick(tick):
+    return RECORD.replace('"tick": 0', f'"tick": {tick}')
+
+
+def _with_amount(amount):
+    return RECORD.replace("4.0", amount)
+
+
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        (RECORD, "amount=4.0)"),
+        (_with_amount("-0"), "amount=0.0)"),
+        (_with_amount("-0.0"), "amount=-0.0)"),
+        (_with_amount("4"), "amount=4.0)"),
+        (_with_amount("1e+16"), "amount=1e+16)"),
+        (_with_amount("5e-324"), "amount=5e-324)"),
+        (_with_amount("1E400"), "amount=inf)"),
+        (_with_amount("NaN"), "amount=nan)"),
+        (_with_tick("٣"), "line 2 is malformed"),
+        (_with_tick("1٣"), "line 2 is malformed"),
+        (_with_amount("٤.0"), "line 2 is malformed"),
+        (_with_amount("4.٠"), "line 2 is malformed"),
+        (RECORD[:-1] + "\x0c\n", "line 2 is malformed"),
+        (RECORD[:-1] + "\u2028\n", "line 2 is malformed"),
+        (_with_tick("01"), "line 2 is malformed"),
+        (_with_amount("04.0"), "line 2 is malformed"),
+        (_with_amount("4."), "line 2 is malformed"),
+        (_with_amount("+4.0"), "line 2 is malformed"),
+        (RECORD.replace('"e_sp#1"', r'"e\"sp\\é\n"'), "edge='e\"sp\\\\é\\n'"),
+        (RECORD.replace('"e_sp#1"', '"eé"'), "edge='eé'"),
+        (RECORD.replace('"e_sp#1"', r'"e\u00e9"'), "edge='eé'"),
+        (RECORD.replace('"e_sp#1"', '"e\tx"'), "line 2 is malformed"),
+        ('{"edge": "e_sp#1", "tick": 0, "amount": 4.0, "substance": "grain"}\n', "amount=4.0)"),
+        (_with_tick("9" * 5000), "line 2 is malformed"),
+        (_with_tick("-0"), "tick=0,"),
+        (RECORD.replace(", ", ",").replace(": ", ":"), "amount=4.0)"),
+        (RECORD[:-1] + "\r\n", "amount=4.0)"),
+        (" " + RECORD[:-1] + " \n", "amount=4.0)"),
+    ],
+    ids=[
+        "plain",
+        "int_negative_zero_amount",
+        "float_negative_zero_amount",
+        "int_amount",
+        "exponent_amount",
+        "subnormal_amount",
+        "overflowing_amount",
+        "nan_amount",
+        "unicode_digit_tick",
+        "unicode_digit_in_tick",
+        "unicode_digit_amount",
+        "unicode_digit_in_amount",
+        "trailing_form_feed",
+        "trailing_line_separator",
+        "leading_zero_tick",
+        "leading_zero_amount",
+        "bare_point_amount",
+        "plus_amount",
+        "escaped_edge",
+        "raw_non_ascii_edge",
+        "unicode_escape_edge",
+        "raw_tab_edge",
+        "reordered_keys",
+        "5000_digit_tick",
+        "negative_zero_tick",
+        "compact_separators",
+        "crlf",
+        "surrounding_spaces",
+    ],
+)
+def test_read_log_fast_path_agrees_with_json_path(record, expected):
+    fast, slow = _read_outcomes(LOG_HEADER + "\n" + record + RECORD)
+    assert fast == slow
+    assert expected in fast
 
 
 # --- conservation -----------------------------------------------------------
