@@ -4,7 +4,8 @@ All functions are read-only over the graph and deterministic. Flow-path
 questions (governance, end-market reachability) work on the sub-graph of
 edges that can actually carry something: capacity above zero, neither
 endpoint an inert environment entity. Classification by contrast is about
-topology and keeps zero-capacity edges.
+topology and keeps zero-capacity edges. Dicts keyed by actor list the
+actors in flat-node order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .flatten import FlatGraph
-from .model import SinkNode, SourceNode
+from .model import EntityNode, SinkNode, SourceNode
 
 __all__ = [
     "LinkageClass",
@@ -61,10 +62,10 @@ def _flow_adjacency(flat: FlatGraph) -> tuple[dict[str, set[str]], set[str], set
     """
     sources = {n.id for n in flat.env_nodes if isinstance(n, SourceNode)}
     sinks = {n.id for n in flat.env_nodes if isinstance(n, SinkNode)}
-    flowable = {n.id for n in flat.nodes} | sources | sinks
+    inert = {n.id for n in flat.env_nodes if isinstance(n, EntityNode)}
     adjacency: dict[str, set[str]] = defaultdict(set)
     for edge in flat.edges:
-        if edge.knowledge.capacity > 0 and edge.tail in flowable and edge.head in flowable:
+        if edge.knowledge.capacity > 0 and edge.tail not in inert and edge.head not in inert:
             adjacency[edge.tail].add(edge.head)
     return adjacency, sources, sinks
 
@@ -94,8 +95,7 @@ def governance_centrality(flat: FlatGraph) -> list[GovernanceScore]:
     in sorted order, so the float sums do not depend on hash seeds.
     """
     adjacency, sources, sinks = _flow_adjacency(flat)
-    internal = [n.id for n in flat.nodes]
-    totals = {node: 0.0 for node in internal}
+    totals = dict.fromkeys(flat.nodes_by_id, 0.0)
     pairs_with_path = 0
     for s in sorted(sources):
         dist = {s: 0}
@@ -125,8 +125,8 @@ def governance_centrality(flat: FlatGraph) -> list[GovernanceScore]:
                 totals[v] += paths[v] * through[v] / scale
 
     if pairs_with_path == 0:
-        return [GovernanceScore(v, 0.0) for v in sorted(internal)]
-    return [GovernanceScore(v, totals[v] / pairs_with_path) for v in sorted(internal)]
+        return [GovernanceScore(v, 0.0) for v in sorted(totals)]
+    return [GovernanceScore(v, totals[v] / pairs_with_path) for v in sorted(totals)]
 
 
 def end_market_reachability(flat: FlatGraph) -> dict[str, frozenset[str]]:
@@ -136,15 +136,14 @@ def end_market_reachability(flat: FlatGraph) -> dict[str, frozenset[str]]:
     for tail, heads in adjacency.items():
         for head in heads:
             reverse[head].add(tail)
-    internal = {n.id for n in flat.nodes}
-    reached: dict[str, set[str]] = {v: set() for v in internal}
+    reached: dict[str, set[str]] = {v: set() for v in flat.nodes_by_id}
     for sink in sorted(sinks):
         seen: set[str] = set()
         queue = deque([sink])
         while queue:
             node = queue.popleft()
             for prev in reverse.get(node, ()):
-                if prev in internal and prev not in seen:
+                if prev in reached and prev not in seen:
                     seen.add(prev)
                     reached[prev].add(sink)
                     queue.append(prev)
@@ -207,12 +206,11 @@ def value_added_profile(flat: FlatGraph) -> dict[str, float]:
     proxy for where value concentrates, and negative when a node takes in
     more weighted capacity than it passes on.
     """
-    internal = {n.id for n in flat.nodes}
-    profile = {v: 0.0 for v in internal}
+    profile = dict.fromkeys(flat.nodes_by_id, 0.0)
     for edge in flat.edges:
         value = edge.knowledge.capacity * edge.knowledge.strength
-        if edge.tail in internal:
+        if edge.tail in profile:
             profile[edge.tail] += value
-        if edge.head in internal:
+        if edge.head in profile:
             profile[edge.head] -= value
     return profile

@@ -60,13 +60,12 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
         else:
             entry["subsystem"] = export_json(comp.body)
         components.append(entry)
-    know = spec.knowledge_map()
     return {
         "id": spec.id,
         "level": spec.level,
         "components": components,
         "network": {
-            "nodes": sorted(spec.network.nodes),
+            "nodes": [comp.type_id for comp in spec.components],
             "edges": [
                 {"id": e.id, "tail": e.tail, "head": e.head}
                 for e in spec.network.edges

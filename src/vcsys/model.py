@@ -1,10 +1,11 @@
 """Core data model for hierarchical value-chain systems.
 
 A system description bundles six things: the multiset of components, the
-internal connection network, the interface to the surrounding environment,
-the boundary conditions that keep the system's identity, per-connection
-flow attributes (what the system knows about its own interactions), and a
-history policy saying whether simulation runs keep a transition record.
+internal connection network (edges only: its nodes are the components),
+the interface to the surrounding environment, the boundary conditions
+that keep the system's identity, per-connection flow attributes (what
+the system knows about its own interactions), and a history policy
+saying whether simulation runs keep a transition record.
 
 Descriptions nest. A component is either atomic (a chain actor with a role
 and a tier position) or a whole subsystem one level further down, and the
@@ -156,13 +157,14 @@ def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
 
 @dataclass(frozen=True)
 class InternalGraph:
-    """Connections among components at one level."""
+    """Connections among components at one level.
 
-    nodes: frozenset[str] = frozenset()
+    Only the edges: the nodes are the level's declared components.
+    """
+
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "edges", _sorted_edges(self.edges))
 
 
@@ -293,8 +295,7 @@ def make_system(
     """Assemble a SystemSpec from flat parts.
 
     Splits the given edges into the internal network and the environment
-    interface by looking at their endpoints, and fills the network's node
-    set with every declared component type. This is the convenient way to
+    interface by looking at their endpoints. This is the convenient way to
     build descriptions in code; the dataclass constructors stay available
     for exotic cases.
     """
@@ -316,9 +317,7 @@ def make_system(
         id=id,
         level=level,
         components=components,
-        network=InternalGraph(
-            nodes=frozenset(c.type_id for c in components), edges=tuple(internal)
-        ),
+        network=InternalGraph(edges=tuple(internal)),
         interface=InterfaceGraph(env_nodes=env, edges=tuple(boundary_edges)),
         boundary=boundary,
         knowledge=tuple(knowledge),
@@ -528,12 +527,7 @@ def _validate_level(
             if base in env_by_id:
                 bad(f"environment node {base!r} appears in the internal network", epath)
                 continue
-            if base in seen_types and base not in spec.network.nodes:
-                bad(f"edge endpoint {ref!r} is outside the network's node set", epath)
             check_internal_ref(ref, side, epath)
-    for node in spec.network.nodes:
-        if node not in seen_types:
-            bad(f"network node {node!r} is not a declared component", f"{path}/network")
 
     # Interface edges: exactly one environment endpoint, sources feed in,
     # sinks drain out.

@@ -19,7 +19,8 @@ statement, unambiguous with single-token lookahead::
 
 Comments run from ``#`` to end of line. Identifiers are
 ``[A-Za-z_][A-Za-z0-9_]*``; quantities are non-negative decimals with an
-optional exponent (``1e-09``), and integers are read exactly.
+optional exponent (``1e-09``), and integers of up to 308 digits are
+read exactly.
 ``parse`` is total: any input (including arbitrary bytes) yields a
 document whose diagnostics explain what went wrong, and a document has a
 root exactly when it has no diagnostics. ``print_spec`` emits the
@@ -183,11 +184,22 @@ def _escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
+_MAX_INT_DIGITS = 308  # integer literals stay below 10**308
+
+
 def _integer(tok: _Token) -> int | None:
-    """The exact integer a number token spells, or None if it is no integer."""
-    if tok.kind != "number" or not float(tok.text).is_integer():
+    """The exact integer a number token spells, or None if it is no integer;
+    a value of more than ``_MAX_INT_DIGITS`` digits is a syntax error."""
+    if tok.kind != "number":
         return None
-    return int(tok.text) if tok.text.isdecimal() else int(float(tok.text))
+    text = tok.text
+    exact = text.isdecimal()
+    if len(text.lstrip("0")) > _MAX_INT_DIGITS if exact else float(text) >= 1e308:
+        raise _ParseError(tok.pos, f"integer literal is too large: at most {_MAX_INT_DIGITS} digits")
+    if exact:
+        return int(text)
+    value = float(text)
+    return int(value) if value.is_integer() else None
 
 
 def _int_value(stream: _Stream, what: str) -> int:

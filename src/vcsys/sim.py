@@ -126,7 +126,6 @@ class _Route(NamedTuple):
     draw: tuple[str, str] | None  # the actor stock it empties
     fill: tuple[str, str] | None  # the actor stock it fills
     sink: tuple[str, str] | None  # the end-market counter it feeds
-    emits: bool  # it leaves a source
 
 
 _Flow = tuple[_Route, float]
@@ -156,13 +155,12 @@ class _Plan:
                 (edge.tail, substance) if edge.tail in internal else None,
                 (edge.head, substance) if edge.head in internal else None,
                 (edge.head, substance) if isinstance(head_env, SinkNode) else None,
-                isinstance(tail_env, SourceNode),
             )
             # Entities carry nothing; sources and sinks are one-way, so a
             # flow may end in the environment only at a sink.
             if capacity <= 0 or (head_env is not None and route.sink is None):
                 continue
-            if route.emits:
+            if isinstance(tail_env, SourceNode):
                 # The environment is not modeled: each source edge fills up
                 # to capacity, but only with the source's own substance.
                 amount = min(tail_env.rate, capacity)
@@ -175,7 +173,6 @@ class _Plan:
             group = sorted(flows, key=_by_id)
             caps = [cap for _, cap in group]
             self.groups.append((key, group, sum(caps), all(c.is_integer() for c in caps)))
-        self.sinks = frozenset(n.id for n in flat.env_nodes if isinstance(n, SinkNode))
 
     def zero_state(self) -> SimulationState:
         routes = self.routes.values()
@@ -258,7 +255,7 @@ def step(
         if node not in flat.nodes_by_id:
             raise InconsistentState(f"stocked node {node!r} is not in the model")
     for sink, _ in state.sink_received:
-        if sink not in plan.sinks:
+        if not isinstance(flat.env_by_id.get(sink), SinkNode):
             raise InconsistentState(f"delivery counter {sink!r} is not a sink")
     stocks = dict(state.stocks)
     received = dict(state.sink_received)
@@ -356,7 +353,8 @@ def conservation_check(
     """
     if log.header.history is HistoryPolicy.NULL and log.header.steps > 0:
         raise NullHistory("conservation needs the complete flow history")
-    emitters = {route.id for route in _Plan(flat).routes.values() if route.emits}
+    env = flat.env_by_id
+    emitters = {e.id for e in flat.edges if isinstance(env.get(e.tail), SourceNode)}
     # One pass over the records: per conserved substance, every amount and
     # the emitted ones, each in record order, which the float sums keep.
     buckets: dict[str, tuple[list[float], list[float]]] = {

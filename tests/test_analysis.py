@@ -1,6 +1,11 @@
 """Linkage classes, governance centrality, reachability, weak links."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from .helpers import (
     demo_chain_spec,
     diamond_spec,
     fan_spec,
+    nested_mult_spec,
     random_flow_model,
     two_sink_spec,
 )
@@ -248,3 +254,31 @@ def test_value_added_telescopes_to_interface_balance():
         assert sum(profile.values()) == pytest.approx(
             boundary_out - boundary_in, abs=1e-9
         )
+
+
+_ACTOR_KEY_ORDER = """
+import json
+from tests.helpers import nested_mult_spec
+from vcsys import end_market_reachability, flatten, value_added_profile
+flat = flatten(nested_mult_spec())
+print(json.dumps([list(end_market_reachability(flat)), list(value_added_profile(flat))]))
+"""
+
+
+def test_actor_keyed_dicts_follow_flat_node_order_under_any_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    orders = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _ACTOR_KEY_ORDER],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for seed in ("1", "2")
+    ]
+    actors = [n.id for n in flatten(nested_mult_spec()).nodes]
+    assert orders == [[actors, actors]] * 2

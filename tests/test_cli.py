@@ -134,6 +134,13 @@ def test_export_json(capsys):
     assert len(payload["knowledge"]) == 3
 
 
+@pytest.mark.parametrize("model", ["demo", "nested"])
+def test_export_json_reproduces_golden_export(model, capsys):
+    assert main(["export", str(FIXTURES / f"{model}.vcs"), "--format", "json"]) == 0
+    golden = (FIXTURES / f"{model}.export.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_analyze_metrics(capsys):
     assert main(["analyze", DEMO, "--metric", "linkages"]) == 0
     linkages = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """Core model: validation, depth, navigation, flattening."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -14,10 +15,14 @@ from vcsys import (
     EdgeKnowledge,
     EntityNode,
     HistoryPolicy,
+    InterfaceGraph,
+    InternalGraph,
     InvalidSpec,
     PathHitsAtomic,
     PathNotFound,
     Role,
+    Scope,
+    SinkNode,
     SourceNode,
     depth,
     flatten,
@@ -181,6 +186,144 @@ def test_validate_level_sequence():
     )
     report = validate(outer)
     assert any("must be parent level + 1" in v.message for v in report)
+
+
+def _demo_with(env=None, network=None, interface=None, **changes):
+    """The demo chain (S -> P -> T -> M) with some fields replaced; ``env``
+    and the ``network`` and ``interface`` edges are given as tuples."""
+    spec = demo_chain_spec()
+    if network is not None:
+        changes["network"] = InternalGraph(network)
+    if env is not None or interface is not None:
+        changes["interface"] = InterfaceGraph(
+            spec.interface.env_nodes if env is None else env,
+            spec.interface.edges if interface is None else interface,
+        )
+    return dataclasses.replace(spec, **changes)
+
+
+def _know_with(edge_id, knowledge):
+    """The demo chain's flow attributes with the entry for ``edge_id`` replaced."""
+    return tuple((k, knowledge if k == edge_id else v) for k, v in _KNOW)
+
+
+_P = ComponentDecl("P", Atomic(Role.PRODUCER, 0))
+_T = ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1))
+_S = SourceNode("S", 4, "grain")
+_M = SinkNode("M", Scope.NATIONAL)
+_KNOW = demo_chain_spec().knowledge
+_GRAIN = EdgeKnowledge(1, "grain")
+_FARM_WITHOUT_PORT = dataclasses.replace(
+    nested_two_level_spec(),
+    network=InternalGraph((Edge("e_ft", "farm", "T"),)),
+)
+
+# Each validate rule no other test reaches: the spec and its exact report.
+VALIDATE_RULES = {
+    "negative_level": (
+        _demo_with(level=-1),
+        [("demo", "level must be a non-negative integer, got -1")],
+    ),
+    "non_int_level": (
+        _demo_with(level=1.0),
+        [("demo", "level must be a non-negative integer, got 1.0")],
+    ),
+    "duplicate_component_type": (
+        _demo_with(components=(_P, _P, _T)),
+        [("demo/P", "duplicate component type 'P'")],
+    ),
+    "repeated_variation_label": (
+        _demo_with(
+            components=(
+                dataclasses.replace(_P, multiplicity=2, variations=(("a", 1), ("a", 1))),
+                _T,
+            )
+        ),
+        [("demo/P", "variation labels must be distinct")],
+    ),
+    "variation_count_below_one": (
+        _demo_with(components=(dataclasses.replace(_P, variations=(("a", 1), ("b", 0))), _T)),
+        [("demo/P", "every variation count must be >= 1")],
+    ),
+    "component_and_env_id": (
+        _demo_with(
+            components=(_P, _T, ComponentDecl("Q", Atomic(Role.BUYER, 1))),
+            env=(_S, _M, EntityNode("Q")),
+        ),
+        [("demo/env/Q", "identifier 'Q' is declared as both a component and an environment node")],
+    ),
+    "infinite_source_rate": (
+        _demo_with(env=(SourceNode("S", math.inf, "grain"), _M)),
+        [("demo/env/S", "source rate must be a finite non-negative quantity, got inf")],
+    ),
+    "env_not_permitted": (
+        _demo_with(boundary=BoundarySpec(permitted_env_ids=frozenset({"S"}))),
+        [("demo/env/M", "environment node 'M' is not permitted by the boundary")],
+    ),
+    "atomic_endpoint_with_port": (
+        _demo_with(network=(Edge("e_pt", "P.x", "T"),)),
+        [("demo/edges/e_pt", "atomic component 'P' has no port 'x'")],
+    ),
+    "subsystem_endpoint_without_port": (
+        _FARM_WITHOUT_PORT,
+        [
+            ("estate/edges/e_ft", "endpoint 'farm' is a subsystem and needs a port"),
+            (
+                "estate/farm/edges/b_out",
+                "port 'out' is bound here but no edge of the enclosing level uses it as a tail",
+            ),
+        ],
+    ),
+    "env_node_in_network": (
+        _demo_with(
+            network=(Edge("e_pt", "P", "T"), Edge("e_st", "S", "T")),
+            knowledge=_KNOW + (("e_st", _GRAIN),),
+        ),
+        [("demo/edges/e_st", "environment node 'S' appears in the internal network")],
+    ),
+    "interface_edge_without_env": (
+        _demo_with(
+            interface=(Edge("e_sp", "S", "P"), Edge("e_tm", "T", "M"), Edge("e_tp", "T", "P")),
+            knowledge=_KNOW + (("e_tp", _GRAIN),),
+        ),
+        [("demo/edges/e_tp", "interface edge has no environment endpoints")],
+    ),
+    "interface_edge_between_envs": (
+        _demo_with(
+            interface=(Edge("e_sm", "S", "M"), Edge("e_sp", "S", "P"), Edge("e_tm", "T", "M")),
+            knowledge=_KNOW + (("e_sm", _GRAIN),),
+        ),
+        [("demo/edges/e_sm", "interface edge has two environment endpoints")],
+    ),
+    "port_on_env_node": (
+        _demo_with(interface=(Edge("e_sp", "S.x", "P"), Edge("e_tm", "T", "M"))),
+        [("demo/edges/e_sp", "environment node 'S' has no ports")],
+    ),
+    "knowledge_for_unknown_edge": (
+        _demo_with(knowledge=_KNOW + (("ghost", _GRAIN),)),
+        [("demo/knowledge/ghost", "flow attributes reference unknown edge 'ghost'")],
+    ),
+    "infinite_capacity": (
+        _demo_with(knowledge=_know_with("e_sp", EdgeKnowledge(math.inf, "grain"))),
+        [("demo/knowledge/e_sp", "capacity must be a finite non-negative quantity, got inf")],
+    ),
+    "nan_strength": (
+        _demo_with(knowledge=_know_with("e_sp", EdgeKnowledge(4, "grain", math.nan))),
+        [("demo/knowledge/e_sp", "strength must be a finite non-negative number, got nan")],
+    ),
+    "duplicate_knowledge": (
+        _demo_with(knowledge=_KNOW + (("e_pt", _GRAIN),)),
+        [("demo/knowledge", "duplicate flow attribute entries for one edge")],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(VALIDATE_RULES))
+def test_validate_rule_reports_exact_path_and_message(rule):
+    spec, expected = VALIDATE_RULES[rule]
+    assert [(v.path, v.message) for v in validate(spec)] == expected
+    with pytest.raises(InvalidSpec):
+        flatten(spec)
 
 
 # --- depth & navigation -----------------------------------------------------

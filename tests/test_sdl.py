@@ -144,6 +144,36 @@ def test_parse_reads_integer_literals_exactly():
     assert print_spec(doc.root) == text
 
 
+LITERAL_SITES = {
+    "level": 'system "d" level {n} {{\n  component P atomic role=producer tier=0\n}}\n',
+    "multiplicity": 'system "d" {{\n  component P * {n} atomic role=producer tier=0\n}}\n',
+    "tier": 'system "d" {{\n  component P atomic role=producer tier={n}\n}}\n',
+    "variation_count": (
+        'system "d" {{\n  component P variations=[a:{n}] atomic role=producer tier=0\n}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("literal", ["9" * 309, "1" * 400, "7" * 5000, "1e308", "2.5e400"])
+@pytest.mark.parametrize("site", sorted(LITERAL_SITES))
+def test_parse_refuses_too_large_integer_literals(site, literal):
+    text = LITERAL_SITES[site].format(n=literal)
+    pos = text.index(literal)
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    doc = parse(text)
+    assert doc.root is None
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == [
+        (line, column, "integer literal is too large: at most 308 digits")
+    ]
+
+
+def test_parse_reads_308_digit_literals_exactly():
+    largest = 10**308 - 1
+    doc = parse(LITERAL_SITES["tier"].format(n="000" + str(largest)))
+    assert doc.ok, doc.diagnostics
+    assert doc.root.components[0].body.tier == largest
+
+
 def test_parse_accepts_bytes_and_rejects_bad_utf8():
     assert parse(b'system "demo" { }').ok
     doc = parse(b'\xff\xfe system')

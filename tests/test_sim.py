@@ -192,6 +192,14 @@ def test_step_rejects_unknown_stock_node():
         step(state, flat)
 
 
+@pytest.mark.parametrize("counter", ["P#1", "S", "ghost"], ids=["actor", "source", "unknown"])
+def test_step_rejects_delivery_counter_off_a_sink(counter):
+    flat = flatten(demo_chain_spec())
+    state = SimulationState(0, {}, {(counter, "grain"): 1.0})
+    with pytest.raises(InconsistentState, match=f"delivery counter {counter!r} is not a sink"):
+        step(state, flat)
+
+
 # --- run --------------------------------------------------------------------
 
 def test_run_zero_steps_is_identity():
@@ -200,6 +208,11 @@ def test_run_zero_steps_is_identity():
     assert state == init_state(flat)
     assert log.records == ()
     assert log.header.steps == 0
+
+
+def test_run_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        run(flatten(demo_chain_spec()), -1)
 
 
 def test_run_demo_chain_three_ticks():
@@ -300,6 +313,15 @@ def test_replay_corrupt_amount_raises_negative_stock():
     corrupt[victim] = dataclasses.replace(corrupt[victim], amount=corrupt[victim].amount * 10)
     bad_log = dataclasses.replace(log, records=tuple(corrupt))
     with pytest.raises(NegativeStock):
+        replay(flat, bad_log)
+
+
+def test_replay_rejects_record_on_unknown_edge():
+    flat = flatten(demo_chain_spec())
+    _, log = run(flat, 3)
+    ghost = dataclasses.replace(log.records[-1], edge="ghost#1")
+    bad_log = dataclasses.replace(log, records=log.records[:-1] + (ghost,))
+    with pytest.raises(InconsistentState, match="record references unknown edge 'ghost#1'"):
         replay(flat, bad_log)
 
 
