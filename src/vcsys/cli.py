@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except VcsysError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_FINDINGS
+    except RecursionError:
+        sys.stderr.write("error: the model nests too deeply for this command\n")
+        return _EXIT_FINDINGS
 
 
 if __name__ == "__main__":

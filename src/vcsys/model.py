@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -365,6 +366,14 @@ def _is_quantity(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
 
 
+# The last description validated, with its depth limit and report, so that
+# flatten(parse(text).root) validates the root once. Descriptions are
+# immutable, so identity is a safe key; it is compared with ``is`` because
+# ==, hash and repr recurse through the whole tree. The reference is weak,
+# so the cache keeps no description alive.
+_last_report: tuple[weakref.ref[SystemSpec], int, ValidationReport] | None = None
+
+
 def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> ValidationReport:
     """Check every structural rule of a system description.
 
@@ -376,10 +385,16 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     head, and every binding edge inside is used so by the enclosing level.
     Arbitrary candidate descriptions are accepted; nothing raises.
     """
+    global _last_report
+    last = _last_report
+    if last is not None and last[0]() is spec and last[1] == max_depth:
+        return last[2]
     out: list[Violation] = []
     env_seen: dict[str, tuple[str, EnvNode]] = {}
     _validate_level(spec, spec.id, 0, max_depth, None, None, env_seen, out)
-    return ValidationReport(tuple(out))
+    report = ValidationReport(tuple(out))
+    _last_report = (weakref.ref(spec), max_depth, report)
+    return report
 
 
 def _validate_level(
@@ -609,17 +624,14 @@ def depth(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> int:
     in the input.
     """
 
-    def walk(s: SystemSpec, used: int) -> int:
-        if used > max_depth:
-            raise DepthExceeded(
-                f"nesting in {spec.id!r} exceeds max_depth={max_depth}"
-            )
-        children = [c.body for c in s.components if not c.is_atomic]
-        if not children:
-            return 0
-        return 1 + max(walk(child, used + 1) for child in children)
-
-    return walk(spec, 0)
+    deepest, level = 0, [spec]
+    while True:
+        level = [c.body for s in level for c in s.components if not c.is_atomic]
+        if not level:
+            return deepest
+        deepest += 1
+        if deepest > max_depth:
+            raise DepthExceeded(f"nesting in {spec.id!r} exceeds max_depth={max_depth}")
 
 
 def subsystem_at(spec: SystemSpec, path: Iterable[str]) -> SystemSpec:

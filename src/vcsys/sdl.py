@@ -19,16 +19,21 @@ statement, unambiguous with single-token lookahead::
 
 Comments run from ``#`` to end of line. Identifiers are
 ``[A-Za-z_][A-Za-z0-9_]*``; quantities are non-negative decimals with an
-optional exponent (``1e-09``), and integers of up to 308 digits are
-read exactly.
+optional exponent (``1e-09``). Where an integer is due (level, tier,
+multiplicity, variation count) a literal is read exactly in any of those
+forms, so ``1.5e3`` is 1500 and ``9007199254740993.0`` is itself; one
+with a non-zero fraction is refused, and so is one of more than 308
+digits or whose float is 1e308 or more.
 ``parse`` is total: any input (including arbitrary bytes) yields a
 document whose diagnostics explain what went wrong, and a document has a
 root exactly when it has no diagnostics. ``print_spec`` emits the
 canonical form (declarations sorted by id, two-space indent), which
 reparses to an equal description.
 
-Positions are token offsets into the text; they are turned into 1-based
-line and column only for the diagnostics ``parse`` reports.
+The lexer is one regular expression whose every match is one token,
+taken after the whitespace and comments before it; tokens are their
+plain texts. The parser keeps token indices, which become offsets and
+then 1-based line and column only for the diagnostics ``parse`` reports.
 
 The textual form has one name per nested system (the component's type
 id), so descriptions built in code round-trip exactly when each nested
@@ -41,7 +46,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import (
     DEFAULT_MAX_DEPTH,
@@ -67,18 +71,29 @@ __all__ = ["Diagnostic", "SdlDocument", "parse", "print_spec"]
 _ROLES = {r.value: r for r in Role}
 _SCOPES = {s.value: s for s in Scope}
 
+# Each match is one token, found after the whitespace and comments before
+# it; group 1 is the token's text. At the end of the text the token is ""
+# (once more after trailing whitespace), and a character that starts no
+# token is a token of its own, which ``_kind`` calls "bad". The parser
+# consumes no bad token: it takes tokens only through ``_Stream.expect``
+# (which checks the kind), by exact text, or as attribute values, where
+# ``_attr_pairs`` stops short of a bad one. So a bad token always makes the
+# parse fail, and ``parse`` then reports the first one.
 _TOKEN = re.compile(
     r"""
-      (?P<skip>[ \t\r\n]+|\#[^\n]*)
-    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<arrow>->)
-    | (?P<punct>[{}\[\]=*,.:])
-    | (?P<bad>.)
+    (?:[ \t\r\n]|\#[^\n]*)*
+    (   \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+      | [A-Za-z_][A-Za-z0-9_]*
+      | "(?:[^"\\\n]|\\.)*"
+      | -> | [{}\[\]=*,.:]
+      | \Z
+      | .
+    )
     """,
     re.VERBOSE,
 )
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCTUATION = frozenset(["", "->", "{", "}", "[", "]", "=", "*", ",", ".", ":"])
 
 
 @dataclass(frozen=True)
@@ -101,31 +116,20 @@ class SdlDocument:
 
 
 class _ParseError(Exception):
-    """A syntax error; ``args`` is (offset, message)."""
+    """A syntax error; ``args`` is (token index, message)."""
 
 
-class _Token(NamedTuple):
-    kind: str  # "number" | "ident" | "string" | "eof" | literal text for punctuation
-    text: str
-    pos: int  # offset into the text
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        value = m.group()
-        if kind == "bad":
-            if value == '"':
-                raise _ParseError(m.start(), "unterminated string")
-            raise _ParseError(m.start(), f"unexpected character {value!r}")
-        if kind in ("arrow", "punct"):
-            kind = value
-        tokens.append(_Token(kind, value, m.start()))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+def _kind(tok: str) -> str:
+    """"ident", "number", "string" or "bad", else the token itself:
+    punctuation, or "" at the end of the text."""
+    first = tok[:1]
+    if first in _IDENT_START:
+        return "ident"
+    if first.isdecimal():
+        return "number"
+    if first == '"':
+        return "string" if len(tok) > 1 else "bad"
+    return tok if tok in _PUNCTUATION else "bad"
 
 
 def _line_col(newlines: list[int], pos: int) -> tuple[int, int]:
@@ -136,44 +140,28 @@ def _line_col(newlines: list[int], pos: int) -> tuple[int, int]:
 
 
 class _Stream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """The token texts, ending in "", and the index ``at`` of the next one."""
 
-    def peek(self, ahead: int = 0) -> _Token:
-        # Never past eof: next() stops there, and peek(1) follows an identifier.
-        return self._tokens[self._pos + ahead]
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.at = 0
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self._pos += 1
+    def error(self, message: str, at: int | None = None) -> _ParseError:
+        return _ParseError(self.at if at is None else at, message)
+
+    def expect(self, kind: str, what: str | None = None) -> str:
+        tok = self.tokens[self.at]
+        if _kind(tok) != kind:
+            raise self.error(f"expected {what or kind}, found {tok or 'end of input'!r}")
+        self.at += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> _ParseError:
-        tok = tok or self.peek()
-        return _ParseError(tok.pos, message)
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {what or kind}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_keyword(self, word: str) -> _Token:
-        if not self.at_keyword(word):
-            tok = self.peek()
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
+    def accept(self, tok: str) -> bool:
+        """Consume the next token if it is ``tok``: punctuation or a keyword."""
+        if self.tokens[self.at] != tok:
+            return False
+        self.at += 1
+        return True
 
 
 def _unescape(raw: str) -> str:
@@ -187,58 +175,67 @@ def _escape(name: str) -> str:
 _MAX_INT_DIGITS = 308  # integer literals stay below 10**308
 
 
-def _integer(tok: _Token) -> int | None:
-    """The exact integer a number token spells, or None if it is no integer;
-    a value of more than ``_MAX_INT_DIGITS`` digits is a syntax error."""
-    if tok.kind != "number":
+def _integer(tok: str, at: int) -> int | None:
+    """The exact integer a token spells, or None if it spells no integer;
+    an all-digit literal of more than ``_MAX_INT_DIGITS`` digits, or any
+    other whose float is 1e308 or more, is a syntax error."""
+    if _kind(tok) != "number":
         return None
-    text = tok.text
-    exact = text.isdecimal()
-    if len(text.lstrip("0")) > _MAX_INT_DIGITS if exact else float(text) >= 1e308:
-        raise _ParseError(tok.pos, f"integer literal is too large: at most {_MAX_INT_DIGITS} digits")
-    if exact:
-        return int(text)
-    value = float(text)
-    return int(value) if value.is_integer() else None
+    exact = tok.isdecimal()
+    if len(tok.lstrip("0")) > _MAX_INT_DIGITS if exact else float(tok) >= 1e308:
+        raise _ParseError(at, f"integer literal is too large: at most {_MAX_INT_DIGITS} digits")
+    if exact:  # without leading zeros, which count against int's digit limit
+        return int(tok.lstrip("0") or "0")
+    from decimal import Decimal, InvalidOperation  # only fractions and exponents need it
+
+    try:
+        value = Decimal(tok)
+    except InvalidOperation:  # an exponent of 19 digits or more: an integer only at zero
+        return None if Decimal(tok.lower().partition("e")[0]) else 0
+    return int(value) if value == value.to_integral_value() else None
 
 
 def _int_value(stream: _Stream, what: str) -> int:
+    at = stream.at
     tok = stream.expect("number", f"an integer {what}")
-    value = _integer(tok)
+    value = _integer(tok, at)
     if value is None:
-        raise stream.error(f"{what} must be an integer, got {tok.text}", tok)
+        raise stream.error(f"{what} must be an integer, got {tok}", at)
     return value
 
 
 def _endpoint(stream: _Stream) -> str:
-    base = stream.expect("ident", "an endpoint").text
+    base = stream.expect("ident", "an endpoint")
     if stream.accept("."):
-        port = stream.expect("ident", "a port name").text
-        return f"{base}.{port}"
+        return f"{base}.{stream.expect('ident', 'a port name')}"
     return base
 
 
 def _ident_list(stream: _Stream) -> frozenset[str]:
     stream.expect("[")
     items: list[str] = []
-    if stream.peek().kind != "]":
-        items.append(stream.expect("ident", "an identifier").text)
+    if stream.tokens[stream.at] != "]":
+        items.append(stream.expect("ident", "an identifier"))
         while stream.accept(","):
-            items.append(stream.expect("ident", "an identifier").text)
+            items.append(stream.expect("ident", "an identifier"))
     stream.expect("]")
     return frozenset(items)
 
 
-def _attr_pairs(stream: _Stream) -> dict[str, _Token]:
-    """key=value pairs up to the next non-assignment token."""
-    pairs: dict[str, _Token] = {}
-    while stream.peek().kind == "ident" and stream.peek(1).kind == "=":
-        key = stream.next()
-        stream.expect("=")
-        value = stream.next()
-        if key.text in pairs:
-            raise stream.error(f"duplicate attribute {key.text!r}", key)
-        pairs[key.text] = value
+def _attr_pairs(stream: _Stream) -> dict[str, int]:
+    """key=value pairs up to the next non-assignment token or bad value,
+    each key mapped to the index of its value token."""
+    tokens, at = stream.tokens, stream.at
+    pairs: dict[str, int] = {}
+    while (
+        _kind(tokens[at]) == "ident" and tokens[at + 1] == "=" and _kind(tokens[at + 2]) != "bad"
+    ):
+        key = tokens[at]
+        if key in pairs:
+            raise _ParseError(at, f"duplicate attribute {key!r}")
+        pairs[key] = at + 2
+        at += 3 if tokens[at + 2] else 2
+    stream.at = at
     return pairs
 
 
@@ -249,6 +246,7 @@ def _parse_body(
     path: str,
     positions: dict[str, int],
 ) -> SystemSpec:
+    tokens = stream.tokens
     components: list[ComponentDecl] = []
     env: list[EnvNode] = []
     edges: list[tuple[Edge, EdgeKnowledge]] = []
@@ -256,199 +254,181 @@ def _parse_body(
     history: HistoryPolicy | None = None
 
     while True:
-        tok = stream.peek()
-        if tok.kind in ("}", "eof"):
+        at = stream.at
+        tok = tokens[at]
+        if tok == "}" or not tok:
             break
-        if tok.kind != "ident":
-            raise stream.error(f"expected a statement, found {tok.text!r}")
+        stream.at = name_at = at + 1
 
-        if tok.text == "component":
-            stream.next()
-            name_tok = stream.expect("ident", "a component name")
-            positions[f"{path}/{name_tok.text}"] = name_tok.pos
+        if tok == "component":
+            name = stream.expect("ident", "a component name")
+            positions[f"{path}/{name}"] = name_at
             multiplicity = 1
             if stream.accept("*"):
                 multiplicity = _int_value(stream, "multiplicity")
             variations: list[tuple[str, int]] = []
-            if stream.at_keyword("variations"):
-                stream.next()
+            if stream.accept("variations"):
                 stream.expect("=")
                 stream.expect("[")
                 while True:
-                    label = stream.expect("ident", "a variation label").text
+                    label = stream.expect("ident", "a variation label")
                     stream.expect(":")
                     variations.append((label, _int_value(stream, "variation count")))
                     if not stream.accept(","):
                         break
                 stream.expect("]")
-            if stream.at_keyword("atomic"):
-                stream.next()
+            if stream.accept("atomic"):
                 attrs = _attr_pairs(stream)
-                role_tok = attrs.pop("role", None)
-                tier_tok = attrs.pop("tier", None)
+                role_at = attrs.pop("role", None)
+                tier_at = attrs.pop("tier", None)
                 if attrs:
                     extra = sorted(attrs)[0]
                     raise stream.error(f"unknown atomic attribute {extra!r}", attrs[extra])
-                if role_tok is None or tier_tok is None:
+                if role_at is None or tier_at is None:
                     raise stream.error(
-                        f"atomic component {name_tok.text!r} needs role= and tier=",
-                        name_tok,
+                        f"atomic component {name!r} needs role= and tier=", name_at
                     )
-                role = _ROLES.get(role_tok.text)
+                role = _ROLES.get(tokens[role_at])
                 if role is None:
                     raise stream.error(
-                        f"unknown role {role_tok.text!r}; one of: "
+                        f"unknown role {tokens[role_at]!r}; one of: "
                         + ", ".join(sorted(_ROLES)),
-                        role_tok,
+                        role_at,
                     )
-                tier = _integer(tier_tok)
+                tier = _integer(tokens[tier_at], tier_at)
                 if tier is None:
-                    raise stream.error("tier must be an integer", tier_tok)
+                    raise stream.error("tier must be an integer", tier_at)
                 body: Atomic | SystemSpec = Atomic(role, tier)
-            elif stream.peek().kind == "{":
-                stream.next()
-                body = _parse_body(
-                    stream,
-                    name_tok.text,
-                    level + 1,
-                    f"{path}/{name_tok.text}",
-                    positions,
-                )
+            elif stream.accept("{"):
+                body = _parse_body(stream, name, level + 1, f"{path}/{name}", positions)
                 stream.expect("}")
             else:
                 raise stream.error(
                     "expected 'atomic' or a nested body after the component name"
                 )
-            components.append(
-                ComponentDecl(name_tok.text, body, multiplicity, tuple(variations))
-            )
+            components.append(ComponentDecl(name, body, multiplicity, tuple(variations)))
 
-        elif tok.text == "source":
-            stream.next()
-            name_tok = stream.expect("ident", "a source name")
-            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
+        elif tok == "source":
+            name = stream.expect("ident", "a source name")
+            positions[f"{path}/env/{name}"] = name_at
             attrs = _attr_pairs(stream)
-            rate_tok = attrs.pop("rate", None)
-            substance_tok = attrs.pop("substance", None)
-            if attrs or rate_tok is None or substance_tok is None:
+            rate_at = attrs.pop("rate", None)
+            substance_at = attrs.pop("substance", None)
+            if attrs or rate_at is None or substance_at is None:
                 raise stream.error(
-                    f"source {name_tok.text!r} takes exactly rate= and substance=",
-                    name_tok,
+                    f"source {name!r} takes exactly rate= and substance=", name_at
                 )
-            if rate_tok.kind != "number":
-                raise stream.error("rate must be a quantity", rate_tok)
-            if substance_tok.kind != "ident":
-                raise stream.error("substance must be an identifier", substance_tok)
-            env.append(SourceNode(name_tok.text, float(rate_tok.text), substance_tok.text))
+            if _kind(tokens[rate_at]) != "number":
+                raise stream.error("rate must be a quantity", rate_at)
+            if _kind(tokens[substance_at]) != "ident":
+                raise stream.error("substance must be an identifier", substance_at)
+            env.append(SourceNode(name, float(tokens[rate_at]), tokens[substance_at]))
 
-        elif tok.text == "sink":
-            stream.next()
-            name_tok = stream.expect("ident", "a sink name")
-            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
+        elif tok == "sink":
+            name = stream.expect("ident", "a sink name")
+            positions[f"{path}/env/{name}"] = name_at
             attrs = _attr_pairs(stream)
-            scope_tok = attrs.pop("scope", None)
-            if attrs or scope_tok is None:
-                raise stream.error(f"sink {name_tok.text!r} takes exactly scope=", name_tok)
-            scope = _SCOPES.get(scope_tok.text)
+            scope_at = attrs.pop("scope", None)
+            if attrs or scope_at is None:
+                raise stream.error(f"sink {name!r} takes exactly scope=", name_at)
+            scope = _SCOPES.get(tokens[scope_at])
             if scope is None:
                 raise stream.error(
-                    f"unknown scope {scope_tok.text!r}; one of: " + ", ".join(sorted(_SCOPES)),
-                    scope_tok,
+                    f"unknown scope {tokens[scope_at]!r}; one of: "
+                    + ", ".join(sorted(_SCOPES)),
+                    scope_at,
                 )
-            env.append(SinkNode(name_tok.text, scope))
+            env.append(SinkNode(name, scope))
 
-        elif tok.text == "entity":
-            stream.next()
-            name_tok = stream.expect("ident", "an entity name")
-            positions[f"{path}/env/{name_tok.text}"] = name_tok.pos
-            env.append(EntityNode(name_tok.text))
+        elif tok == "entity":
+            name = stream.expect("ident", "an entity name")
+            positions[f"{path}/env/{name}"] = name_at
+            env.append(EntityNode(name))
 
-        elif tok.text == "edge":
-            stream.next()
-            name_tok = stream.expect("ident", "an edge id")
-            positions[f"{path}/edges/{name_tok.text}"] = name_tok.pos
-            positions[f"{path}/knowledge/{name_tok.text}"] = name_tok.pos
+        elif tok == "edge":
+            name = stream.expect("ident", "an edge id")
+            positions[f"{path}/edges/{name}"] = name_at
+            positions[f"{path}/knowledge/{name}"] = name_at
             tail = _endpoint(stream)
             stream.expect("->", "'->'")
             head = _endpoint(stream)
             stream.expect("{")
             attrs = _attr_pairs(stream)
             stream.expect("}")
-            substance_tok = attrs.pop("substance", None)
-            capacity_tok = attrs.pop("capacity", None)
-            strength_tok = attrs.pop("strength", None)
+            substance_at = attrs.pop("substance", None)
+            capacity_at = attrs.pop("capacity", None)
+            strength_at = attrs.pop("strength", None)
             if attrs:
                 extra = sorted(attrs)[0]
                 raise stream.error(f"unknown edge attribute {extra!r}", attrs[extra])
-            if substance_tok is None or substance_tok.kind != "ident":
-                raise stream.error(
-                    f"edge {name_tok.text!r} needs substance=<identifier>", name_tok
-                )
-            if capacity_tok is None or capacity_tok.kind != "number":
-                raise stream.error(
-                    f"edge {name_tok.text!r} needs capacity=<quantity>", name_tok
-                )
+            if substance_at is None or _kind(tokens[substance_at]) != "ident":
+                raise stream.error(f"edge {name!r} needs substance=<identifier>", name_at)
+            if capacity_at is None or _kind(tokens[capacity_at]) != "number":
+                raise stream.error(f"edge {name!r} needs capacity=<quantity>", name_at)
             strength = 1.0
-            if strength_tok is not None:
-                if strength_tok.kind != "number":
-                    raise stream.error("strength must be a quantity", strength_tok)
-                strength = float(strength_tok.text)
+            if strength_at is not None:
+                if _kind(tokens[strength_at]) != "number":
+                    raise stream.error("strength must be a quantity", strength_at)
+                strength = float(tokens[strength_at])
             edges.append(
                 (
-                    Edge(name_tok.text, tail, head),
-                    EdgeKnowledge(float(capacity_tok.text), substance_tok.text, strength),
+                    Edge(name, tail, head),
+                    EdgeKnowledge(float(tokens[capacity_at]), tokens[substance_at], strength),
                 )
             )
 
-        elif tok.text == "boundary":
+        elif tok == "boundary":
             if boundary is not None:
-                raise stream.error("duplicate boundary block")
-            positions[f"{path}/boundary"] = tok.pos
-            stream.next()
+                raise stream.error("duplicate boundary block", at)
+            positions[f"{path}/boundary"] = at
             stream.expect("{")
             allow: frozenset[str] | None = None
             conserve: frozenset[str] = frozenset()
             frozen = True
             permitted: frozenset[str] | None = None
             seen: set[str] = set()
-            while stream.peek().kind == "ident":
-                key = stream.next()
+            while _kind(tokens[stream.at]) == "ident":
+                key_at = stream.at
+                key = stream.expect("ident")
                 stream.expect("=")
-                if key.text in seen:
-                    raise stream.error(f"duplicate boundary attribute {key.text!r}", key)
-                seen.add(key.text)
-                if key.text == "allow":
+                if key in seen:
+                    raise stream.error(f"duplicate boundary attribute {key!r}", key_at)
+                seen.add(key)
+                if key == "allow":
                     allow = _ident_list(stream)
-                elif key.text == "conserve":
+                elif key == "conserve":
                     conserve = _ident_list(stream)
-                elif key.text == "permitted":
+                elif key == "permitted":
                     permitted = _ident_list(stream)
-                elif key.text == "frozen":
+                elif key == "frozen":
+                    flag_at = stream.at
                     flag = stream.expect("ident", "true or false")
-                    if flag.text not in ("true", "false"):
-                        raise stream.error("frozen must be true or false", flag)
-                    frozen = flag.text == "true"
+                    if flag not in ("true", "false"):
+                        raise stream.error("frozen must be true or false", flag_at)
+                    frozen = flag == "true"
                 else:
-                    raise stream.error(f"unknown boundary attribute {key.text!r}", key)
+                    raise stream.error(f"unknown boundary attribute {key!r}", key_at)
             stream.expect("}")
             boundary = BoundarySpec(allow, conserve, frozen, permitted)
 
-        elif tok.text == "history":
+        elif tok == "history":
             if history is not None:
-                raise stream.error("duplicate history statement")
-            stream.next()
+                raise stream.error("duplicate history statement", at)
             mode = stream.expect("ident", "'record' or 'null'")
-            if mode.text == "record":
+            if mode == "record":
                 history = HistoryPolicy.RECORD
-            elif mode.text == "null":
+            elif mode == "null":
                 history = HistoryPolicy.NULL
             else:
-                raise stream.error("history must be 'record' or 'null'", mode)
+                raise stream.error("history must be 'record' or 'null'", name_at)
 
+        elif _kind(tok) != "ident":
+            raise stream.error(f"expected a statement, found {tok!r}", at)
         else:
             raise stream.error(
-                f"expected component/source/sink/entity/edge/boundary/history,"
-                f" found {tok.text!r}"
+                "expected component/source/sink/entity/edge/boundary/history,"
+                f" found {tok!r}",
+                at,
             )
 
     return make_system(
@@ -462,8 +442,8 @@ def _parse_body(
     )
 
 
-def _position_for(positions: dict[str, int], violation_path: str) -> int:
-    """Offset of the declaration nearest the violation path, else 0."""
+def _position_for(positions: dict[str, int], violation_path: str) -> int | None:
+    """Token index of the declaration nearest the violation path, if any."""
     path = violation_path
     while path:
         if path in positions:
@@ -471,7 +451,15 @@ def _position_for(positions: dict[str, int], violation_path: str) -> int:
         if "/" not in path:
             break
         path = path.rsplit("/", 1)[0]
-    return 0
+    return None
+
+
+def _lex_error(tokens: list[str]) -> tuple[int, str] | None:
+    """Index and message of the first character that starts no token."""
+    for at, tok in enumerate(tokens):
+        if _kind(tok) == "bad":
+            return at, "unterminated string" if tok == '"' else f"unexpected character {tok!r}"
+    return None
 
 
 def parse(
@@ -495,26 +483,29 @@ def parse(
                 (Diagnostic("error", 1, 1, f"input is not valid UTF-8: {exc.reason}"),),
             )
     positions: dict[str, int] = {}
-    errors: list[tuple[int, str]]  # (offset, message)
+    errors: list[tuple[int | None, str]]  # (token index or None for offset 0, message)
+    stream = _Stream(_TOKEN.findall(text))
     try:
-        stream = _Stream(_lex(text))
-        stream.expect_keyword("system")
-        name_tok = stream.expect("string", "a quoted system name")
-        sys_id = _unescape(name_tok.text)
-        positions[sys_id] = name_tok.pos
-        level = 0
-        if stream.at_keyword("level"):
-            stream.next()
-            level = _int_value(stream, "level")
+        if not stream.accept("system"):
+            found = stream.tokens[0] or "end of input"
+            raise stream.error(f"expected 'system', found {found!r}")
+        sys_id = _unescape(stream.expect("string", "a quoted system name"))
+        positions[sys_id] = 1
+        level = _int_value(stream, "level") if stream.accept("level") else 0
         stream.expect("{")
         root = _parse_body(stream, sys_id, level, sys_id, positions)
         stream.expect("}")
-        if stream.peek().kind != "eof":
+        if stream.tokens[stream.at]:
             raise stream.error("unexpected input after the closing brace")
-    except _ParseError as exc:
-        errors = [exc.args]
-    except RecursionError:
-        errors = [(0, "input nests too deeply")]
+    except (_ParseError, RecursionError) as exc:
+        # A token that is no token at all comes before any other error.
+        first = _lex_error(stream.tokens)
+        if first is not None:
+            errors = [first]
+        elif isinstance(exc, RecursionError):
+            errors = [(None, "input nests too deeply")]
+        else:
+            errors = [exc.args]
     else:
         report = validate(root, max_depth)
         if report.ok:
@@ -523,9 +514,11 @@ def parse(
             (_position_for(positions, v.path), f"{v.path}: {v.message}")
             for v in report.violations
         ]
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
     newlines = [m.start() for m in re.finditer("\n", text)]
     diagnostics = tuple(
-        Diagnostic("error", *_line_col(newlines, pos), message) for pos, message in errors
+        Diagnostic("error", *_line_col(newlines, 0 if at is None else starts[at]), message)
+        for at, message in errors
     )
     return SdlDocument(source_name, None, diagnostics)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from hashlib import sha256
 from itertools import count
+from pathlib import Path
 
 from vcsys import (
     Atomic,
@@ -19,6 +21,8 @@ from vcsys import (
     SourceNode,
     SystemSpec,
     make_system,
+    parse,
+    print_spec,
 )
 from vcsys.model import split_endpoint
 
@@ -475,3 +479,115 @@ def random_flow_model(
         env=env,
         boundary=BoundarySpec(None, frozenset(substances)),
     )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def wide_sdl(producers: int) -> str:
+    """One wide level in text: producers fed by sources, selling to
+    traders, traders to exporters, exporters to end markets."""
+    traders, exporters = producers // 10, max(2, producers // 50)
+    lines = ['system "wide" {']
+    lines += [f"  component p{i} atomic role=producer tier=0" for i in range(producers)]
+    lines += [f"  component t{i} atomic role=processor_trader tier=1" for i in range(traders)]
+    lines += [f"  component x{i} atomic role=exporter tier=2" for i in range(exporters)]
+    lines += [f"  source s{i} rate={1 + i % 6} substance=grain" for i in range(traders)]
+    lines += [f"  sink m{i} scope={SCOPES[i % 4].value}" for i in range(traders)]
+    links = [(f"s{i // 10}", f"p{i}") for i in range(producers)]
+    links += [(f"p{i}", f"t{i // 10}") for i in range(producers)]
+    links += [(f"t{i}", f"x{i % exporters}") for i in range(traders)]
+    links += [(f"x{i % exporters}", f"m{i}") for i in range(traders)]
+    for k, (tail, head) in enumerate(links):
+        lines.append(f"  edge w{k} {tail} -> {head} {{ substance=grain capacity={1 + k % 4} }}")
+    lines += ["  boundary { allow=[grain] conserve=[grain] }", "  history null", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def nested_sdl(districts: int, coops: int, farms: int) -> str:
+    """Three nesting levels with variations, and ports spliced in both
+    directions at two of them."""
+    return f"""\
+system "region" {{
+  component district * {districts} variations=[organic:1, plain:{districts - 1}] {{
+    component coop * {coops} variations=[organic:1, plain:{coops - 1}] {{
+      component farm * {farms} variations=[organic:1, plain:{farms - 1}] atomic role=producer tier=0
+      component hub atomic role=processor_trader tier=1
+      sink L scope=local
+      entity feed
+      entity out
+      edge c_in feed -> farm {{ substance=grain capacity=2 }}
+      edge c_fh farm -> hub {{ substance=grain capacity=3 }}
+      edge c_fl farm -> L {{ substance=grain capacity=1 }}
+      edge c_out hub -> out {{ substance=grain capacity=4 }}
+    }}
+    component mill atomic role=processor_trader tier=2
+    entity supply
+    entity ship
+    edge d_in supply -> coop.feed {{ substance=grain capacity=3 }}
+    edge d_cm coop.out -> mill {{ substance=grain capacity=2 }}
+    edge d_out mill -> ship {{ substance=grain capacity=4 }}
+  }}
+  component X * 2 atomic role=exporter tier=3
+  source S rate=4 substance=grain
+  sink M scope=global
+  edge r_in S -> district.supply {{ substance=grain capacity=2 }}
+  edge r_dx district.ship -> X {{ substance=grain capacity=3 }}
+  edge r_xm X -> M {{ substance=grain capacity=1 }}
+  boundary {{ allow=[grain] conserve=[grain] }}
+}}
+"""
+
+
+def deep_sdl(levels: int) -> str:
+    """A chain of ``levels`` nested components around one atomic actor."""
+    opening = [f"{'  ' * (k + 1)}component c{k} {{" for k in range(levels)]
+    closing = [f"{'  ' * (k + 1)}}}" for k in reversed(range(levels))]
+    leaf = f"{'  ' * (levels + 1)}component leaf atomic role=producer tier=0"
+    return "\n".join(['system "deep" {', *opening, leaf, *closing, "}"]) + "\n"
+
+
+# Texts spliced into a description by sdl_mutant: punctuation, keywords,
+# literals, comment and string starts, and characters no token begins with.
+_MUTANT_PIECES = (
+    "{", "}", "[", "]", "=", "*", ",", ".", ":", "->", "-", '"', "#", "\n", " ", "\t",
+    "@", "é", "0", "7", "1.5", "2e1", "3.0", "x", "_y", "component", "atomic", "edge",
+    "source", "sink", "entity", "boundary", "history", "null", "level", "role=", "tier=",
+    "scope=", "rate=", "substance=", "capacity=", "strength=", "variations=[a:1]",
+    "allow=[grain]", "frozen=false", '"q"', "{ }", "# note\n",
+)
+
+
+def sdl_mutant_bases() -> list[str]:
+    """The descriptions sdl_mutant starts from: the three .vcs fixtures, a
+    small wide model and a small nested one."""
+    fixtures = [(FIXTURES / f"{name}.vcs").read_text() for name in ("demo", "nested", "broken")]
+    return fixtures + [wide_sdl(30), nested_sdl(2, 2, 3)]
+
+
+def sdl_mutant(bases: list[str], seed: int) -> str:
+    """One or two seeded insertions, deletions or (one time in ten)
+    truncations of the base ``seed % len(bases)``."""
+    rng = random.Random(seed)
+    text = bases[seed % len(bases)]
+    for _ in range(rng.randint(1, 2)):
+        op, pos = rng.random(), rng.randrange(len(text) + 1)
+        if op < 0.5:
+            text = text[:pos] + rng.choice(_MUTANT_PIECES) + text[pos:]
+        elif op < 0.9:
+            text = text[:pos] + text[pos + rng.randint(1, 12):]
+        else:
+            text = text[:pos]
+    return text
+
+
+PARSE_CORPUS_SIZE = 2000
+
+
+def parse_corpus_entry(bases: list[str], seed: int) -> dict:
+    """What parse makes of mutant ``seed``: the sha256 of the canonical
+    print of its root, or its diagnostics as [line, column, message]."""
+    doc = parse(sdl_mutant(bases, seed))
+    if doc.ok:
+        return {"seed": seed, "sha256": sha256(print_spec(doc.root).encode()).hexdigest()}
+    return {"seed": seed, "diagnostics": [[d.line, d.column, d.message] for d in doc.diagnostics]}

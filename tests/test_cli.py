@@ -9,7 +9,7 @@ import pytest
 
 from vcsys.cli import main
 
-from .helpers import WIRING_PROBES
+from .helpers import WIRING_PROBES, deep_sdl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO = str(FIXTURES / "demo.vcs")
@@ -196,6 +196,34 @@ def test_max_depth_env_override(monkeypatch, capsys):
 def test_max_depth_env_invalid(monkeypatch, capsys):
     monkeypatch.setenv("VCSYS_MAX_DEPTH", "banana")
     assert main(["validate", DEMO]) == 2
+
+
+DEEP_COMMANDS = [
+    ["validate"],
+    ["inspect"],
+    ["flatten"],
+    ["simulate", "--steps", "2"],
+    ["analyze", "--metric", "governance"],
+    ["export", "--format", "dot"],
+    ["export", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("levels", [450, 900])
+def test_deep_models_end_in_a_result_or_one_error_line(levels, tmp_path, monkeypatch, capsys):
+    """Past what the recursion limit allows, a command says so in one line."""
+    model = tmp_path / "deep.vcs"
+    model.write_text(deep_sdl(levels))
+    monkeypatch.setenv("VCSYS_MAX_DEPTH", "100000")
+    codes = []
+    for command in DEEP_COMMANDS:
+        codes.append(main([command[0], str(model), *command[1:]]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1), command
+        if codes[-1] == 1:
+            assert len(err.splitlines()) == 1 and "error: " in err, (command, err)
+    if levels == 450:
+        assert codes == [0, 0, 0, 0, 0, 0, 1]  # only the JSON encoder runs out of stack
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -340,6 +341,15 @@ def test_depth_three_levels_hand_counted():
 def test_depth_exceeded_raises():
     with pytest.raises(DepthExceeded):
         depth(three_level_spec(), max_depth=1)
+
+
+def test_depth_of_a_chain_deeper_than_the_recursion_limit():
+    spec = make_system("leaf", components=[ComponentDecl("a", Atomic(Role.PRODUCER, 0))])
+    for k in range(sys.getrecursionlimit() + 100):
+        spec = make_system(f"c{k}", components=[ComponentDecl(f"c{k}", spec)])
+    assert depth(spec, max_depth=10**6) == sys.getrecursionlimit() + 100
+    with pytest.raises(DepthExceeded):
+        depth(spec, max_depth=50)
 
 
 def test_depth_monotone_on_random_specs():

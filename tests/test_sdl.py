@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +20,18 @@ from vcsys import (
     print_spec,
     validate,
 )
+from vcsys import model
 from vcsys.flatten import FlatGraph
 
 from .helpers import (
     DEMO_SDL,
+    PARSE_CORPUS_SIZE,
     WIRING_PROBES,
     demo_chain_spec,
     nested_two_level_spec,
+    parse_corpus_entry,
     random_spec,
+    sdl_mutant_bases,
 )
 
 
@@ -134,6 +140,45 @@ def test_parse_diagnostic_positions(case):
     assert [(d.line, d.column, d.message) for d in doc.diagnostics] == expected
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "component P atomic role=V tier=0",
+        "component P atomic role=producer tier=V",
+        "component P atomic role=producer tier=0 extra=V",
+        "source S rate=V substance=g",
+        "source S rate=1 substance=V",
+        "sink M scope=V",
+        "edge e P -> M { substance=V capacity=1 }",
+        "edge e P -> M { substance=g capacity=V }",
+        "edge e P -> M { substance=g capacity=1 strength=V }",
+    ],
+)
+@pytest.mark.parametrize("bad", ["@", "é", '"'])
+def test_bad_character_as_attribute_value_is_the_reported_error(line, bad):
+    body = "component P atomic role=producer tier=0\n  sink M scope=local\n  "
+    text = f'system "d" {{\n  {body}{line.replace("V", bad)}\n}}\n'
+    message = "unterminated string" if bad == '"' else f"unexpected character {bad!r}"
+    doc = parse(text)
+    assert doc.root is None
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == [
+        (4, 3 + line.index("V"), message)
+    ]
+
+
+# Literals with a fraction or an exponent, and the integers they spell.
+EXACT_FORMS = {
+    "9007199254740993.0": 9007199254740993,
+    "12345678901234567891e0": 12345678901234567891,
+    "123456789012345678901234567890.000": 123456789012345678901234567890,
+    "1e23": 10**23,
+    "1.5e3": 1500,
+    "1" + "0" * 400 + "e-399": 10,
+    "0e999999999": 0,
+    "0e99999999999999999999": 0,
+}
+
+
 def test_parse_reads_integer_literals_exactly():
     big = 12345678901234567891
     text = f'system "d" level {big} {{\n  component P atomic role=producer tier={big}\n}}\n'
@@ -142,6 +187,29 @@ def test_parse_reads_integer_literals_exactly():
     assert doc.root.level == big
     assert doc.root.components[0].body.tier == big
     assert print_spec(doc.root) == text
+    for literal, value in EXACT_FORMS.items():
+        doc = parse(LITERAL_SITES["level"].format(n=literal))
+        assert doc.ok, (literal, doc.diagnostics)
+        assert doc.root.level == value, literal
+        doc = parse(LITERAL_SITES["tier"].format(n=literal))
+        assert doc.ok, (literal, doc.diagnostics)
+        assert doc.root.components[0].body.tier == value, literal
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["12345678901234567.5", "3.000000000000000000001", "1e-999999999", "1e-99999999999999999999"],
+)
+def test_parse_refuses_integer_literals_with_a_fraction(literal):
+    text = LITERAL_SITES["tier"].format(n=literal)
+    doc = parse(text)
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == [
+        (2, 41, "tier must be an integer")
+    ]
+    doc = parse(LITERAL_SITES["level"].format(n=literal))
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == [
+        (1, 18, f"level must be an integer, got {literal}")
+    ]
 
 
 LITERAL_SITES = {
@@ -169,9 +237,10 @@ def test_parse_refuses_too_large_integer_literals(site, literal):
 
 def test_parse_reads_308_digit_literals_exactly():
     largest = 10**308 - 1
-    doc = parse(LITERAL_SITES["tier"].format(n="000" + str(largest)))
-    assert doc.ok, doc.diagnostics
-    assert doc.root.components[0].body.tier == largest
+    for zeros in ("000", "0" * 5000):
+        doc = parse(LITERAL_SITES["tier"].format(n=zeros + str(largest)))
+        assert doc.ok, doc.diagnostics
+        assert doc.root.components[0].body.tier == largest
 
 
 def test_parse_accepts_bytes_and_rejects_bad_utf8():
@@ -211,6 +280,67 @@ def _assert_positions_inside(text, doc):
     for d in doc.diagnostics:
         assert 1 <= d.line <= len(lines), d
         assert 1 <= d.column <= len(lines[d.line - 1]) + 1, d
+
+
+CORPUS = Path(__file__).parent / "fixtures" / "parse_corpus.jsonl"
+
+
+def test_parse_matches_the_golden_mutant_corpus():
+    """Each golden line is ``json.dumps(parse_corpus_entry(sdl_mutant_bases(),
+    seed))``, as the parser wrote it before tokens became plain strings.
+    Rewrite the file only for a deliberate change of what parse reports."""
+    golden = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+    assert len(golden) == PARSE_CORPUS_SIZE
+    bases = sdl_mutant_bases()
+    for entry in golden:
+        assert parse_corpus_entry(bases, entry["seed"]) == entry
+
+
+LONG_RUNS = {
+    "spaces between tokens and at the end": (
+        'system "d" {' + " " * 10**6 + "}" + " " * 10**6,
+        [],
+    ),
+    "a comment run": (
+        'system "d" {\n' + "# one comment line\n" * 10**5 + "}\n",
+        [],
+    ),
+    "a bad character after spaces": (
+        'system "d" {' + " " * 10**6 + "@",
+        [(1, 10**6 + 13, "unexpected character '@'")],
+    ),
+    "end of input after a comment run": (
+        'system "d" {\n' + "# one comment line\n" * 10**5,
+        [(10**5 + 2, 1, "expected }, found 'end of input'")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_RUNS))
+def test_parse_is_linear_in_whitespace_and_comments(case):
+    text, expected = LONG_RUNS[case]
+    start = time.perf_counter()
+    doc = parse(text)
+    assert time.perf_counter() - start < 5.0  # about 0.1 s on a 2-vCPU VM
+    assert [(d.line, d.column, d.message) for d in doc.diagnostics] == expected
+
+
+def test_flatten_of_a_parsed_root_validates_it_once(monkeypatch):
+    roots = []
+    inner = model._validate_level
+
+    def counting(spec, path, depth, *rest):
+        if depth == 0:
+            roots.append(spec)
+        inner(spec, path, depth, *rest)
+
+    monkeypatch.setattr(model, "_validate_level", counting)
+    root = parse(DEMO_SDL).root
+    flatten(root)
+    flatten(root)
+    assert roots == [root]
+    flatten(parse(DEMO_SDL).root, max_depth=3)
+    assert len(roots) == 3  # a new description, then a new depth limit
 
 
 # --- print ------------------------------------------------------------------

@@ -200,6 +200,14 @@ def test_step_rejects_delivery_counter_off_a_sink(counter):
         step(state, flat)
 
 
+def test_thirty_steps_reach_runs_final_state():
+    flat = flatten(random_flow_model(random.Random(83), integer_caps=False))
+    state, final = init_state(flat), run(flat, 30)[0]
+    for _ in range(30):
+        state, _ = step(state, flat)
+    assert state == final
+
+
 # --- run --------------------------------------------------------------------
 
 def test_run_zero_steps_is_identity():
