@@ -174,8 +174,8 @@ def weak_linkage_report(flat: FlatGraph, threshold: float) -> WeakLinkageReport:
     Zero-capacity edges still count as connections here: a starved link is
     a weak one, not a missing one.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not 0 <= threshold < math.inf:  # false for nan as well
+        raise ValueError(f"threshold must be a finite non-negative number, got {threshold!r}")
     classes = classify_linkages(flat)
     nodes = flat.nodes_by_id
     weak = tuple(

@@ -161,7 +161,7 @@ def _cmd_inspect(args: argparse.Namespace, max_depth: int) -> int:
             }
             for comp in spec.components
         ],
-        "edges": len(spec.network.edges) + len(spec.interface.edges),
+        "edges": len(spec.network) + len(spec.interface.edges),
         "env_nodes": len(spec.interface.env_nodes),
         "flat": {
             "nodes": len(flat.nodes),
@@ -231,7 +231,11 @@ def _cmd_analyze(args: argparse.Namespace, max_depth: int) -> int:
             for node, sinks in sorted(ana.end_market_reachability(flat).items())
         }
     elif args.metric == "weak":
-        report = ana.weak_linkage_report(flat, args.threshold)
+        try:
+            report = ana.weak_linkage_report(flat, args.threshold)
+        except ValueError as exc:
+            sys.stderr.write(f"--threshold: {exc}\n")
+            return _EXIT_USAGE
         payload = {
             "threshold": report.threshold,
             "weak": [{"edge": w.edge, "capacity": w.capacity} for w in report.weak],

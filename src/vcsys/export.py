@@ -68,7 +68,7 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
             "nodes": [comp.type_id for comp in spec.components],
             "edges": [
                 {"id": e.id, "tail": e.tail, "head": e.head}
-                for e in spec.network.edges
+                for e in spec.network
             ],
         },
         "interface": {
@@ -81,12 +81,12 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
         "boundary": _boundary_json(spec.boundary),
         "knowledge": [
             {
-                "edge": edge_id,
-                "substance": k.substance,
-                "capacity": k.capacity,
-                "strength": k.strength,
+                "edge": e.id,
+                "substance": e.knowledge.substance,
+                "capacity": e.knowledge.capacity,
+                "strength": e.knowledge.strength,
             }
-            for edge_id, k in spec.knowledge
+            for e in spec.all_edges()
         ],
         "history_policy": spec.history_policy.value,
     }

@@ -19,9 +19,11 @@ raises :class:`vcsys.model.InvalidSpec` carrying the full report, so the
 expansion itself never meets a malformed description.
 
 Edges multiply out as the Cartesian product of their endpoints'
-instances; expanded edges are numbered ``edgeid#k`` the same way nodes
-are. Everything is deterministic: two calls on the same description
-produce identical graphs, ordering included.
+instances; an expanded edge is an :class:`vcsys.model.Edge` numbered
+``edgeid#k`` the same way nodes are, between instance ids, carrying the
+flow attributes of the edge it expands. Everything is deterministic: two
+calls on the same description produce identical graphs, ordering
+included.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from functools import cached_property
 from .model import (
     DEFAULT_MAX_DEPTH,
     Edge,
-    EdgeKnowledge,
     EntityNode,
     EnvNode,
     HistoryPolicy,
@@ -44,7 +45,7 @@ from .model import (
     validate,
 )
 
-__all__ = ["FlatNode", "FlatEdge", "FlatGraph", "flatten"]
+__all__ = ["FlatNode", "FlatGraph", "flatten"]
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,6 @@ class FlatNode:
 
 
 @dataclass(frozen=True)
-class FlatEdge:
-    id: str
-    tail: str
-    head: str
-    knowledge: EdgeKnowledge
-
-
-@dataclass(frozen=True)
 class FlatGraph:
     """Fully expanded atomic-level graph.
 
@@ -81,7 +74,7 @@ class FlatGraph:
 
     id: str
     nodes: tuple[FlatNode, ...] = ()
-    edges: tuple[FlatEdge, ...] = ()
+    edges: tuple[Edge, ...] = ()
     env_nodes: tuple[EnvNode, ...] = ()
     history_policy: HistoryPolicy = HistoryPolicy.RECORD
     conserved: frozenset[str] = frozenset()
@@ -112,23 +105,16 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
     type_counter: defaultdict[str, int] = defaultdict(int)
     edge_counter: defaultdict[str, int] = defaultdict(int)
     nodes: list[FlatNode] = []
-    edges: list[FlatEdge] = []
+    edges: list[Edge] = []
     env_seen: dict[str, EnvNode] = {}
 
     def new_instance(type_id: str) -> str:
         type_counter[type_id] += 1
         return f"{type_id}#{type_counter[type_id]}"
 
-    def emit_edge(spec_edge: Edge, tail: str, head: str, know: EdgeKnowledge) -> None:
-        edge_counter[spec_edge.id] += 1
-        edges.append(
-            FlatEdge(
-                id=f"{spec_edge.id}#{edge_counter[spec_edge.id]}",
-                tail=tail,
-                head=head,
-                knowledge=know,
-            )
-        )
+    def emit_edge(edge: Edge, tail: str, head: str) -> None:
+        edge_counter[edge.id] += 1
+        edges.append(Edge(f"{edge.id}#{edge_counter[edge.id]}", tail, head, edge.knowledge))
 
     def variation_labels(count: int, variations) -> list[str | None]:
         if not variations:
@@ -139,7 +125,6 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
         return labels
 
     def expand(s: SystemSpec, path: tuple[str, ...], is_root: bool) -> _Ports:
-        know = s.knowledge_map()
         env_nodes = {n.id: n for n in s.interface.env_nodes}
         atoms: dict[str, list[str]] = {}
         subs: dict[str, list[_Ports]] = {}
@@ -174,12 +159,12 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
 
         ports: _Ports = {}
 
-        for edge in s.network.edges:
+        for edge in s.network:
             tails = resolve(edge.tail, "tail")
             heads = resolve(edge.head, "head")
             for tail in tails:
                 for head in heads:
-                    emit_edge(edge, tail, head, know[edge.id])
+                    emit_edge(edge, tail, head)
 
         for edge in s.interface.edges:
             tail_base, _ = split_endpoint(edge.tail)
@@ -197,10 +182,10 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
             env_seen.setdefault(env_id, env_node)
             if tail_base == env_id:
                 for head in resolve(edge.head, "head"):
-                    emit_edge(edge, env_id, head, know[edge.id])
+                    emit_edge(edge, env_id, head)
             else:
                 for tail in resolve(edge.tail, "tail"):
-                    emit_edge(edge, tail, env_id, know[edge.id])
+                    emit_edge(edge, tail, env_id)
 
         # Declared environment objects survive flattening even without
         # edges; only bound ports splice away.

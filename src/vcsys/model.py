@@ -1,11 +1,13 @@
 """Core data model for hierarchical value-chain systems.
 
 A system description bundles six things: the multiset of components, the
-internal connection network (edges only: its nodes are the components),
+internal connection network (the level's edges among its components),
 the interface to the surrounding environment, the boundary conditions
 that keep the system's identity, per-connection flow attributes (what
 the system knows about its own interactions), and a history policy
-saying whether simulation runs keep a transition record.
+saying whether simulation runs keep a transition record. The flow
+attributes have no table of their own: each :class:`Edge` carries its
+:class:`EdgeKnowledge`, here and in the flattened graph alike.
 
 Descriptions nest. A component is either atomic (a chain actor with a role
 and a tier position) or a whole subsystem one level further down, and the
@@ -27,7 +29,7 @@ import enum
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -85,20 +87,6 @@ class Atomic:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """One connection: ``tail -> head``.
-
-    Endpoints are references, not objects: a component type id, an
-    environment node id, or a dotted ``subsystem.port`` pair addressing an
-    exported port of a nested subsystem.
-    """
-
-    id: str
-    tail: str
-    head: str
-
-
-@dataclass(frozen=True)
 class EdgeKnowledge:
     """Flow attributes of one edge: what moves, how much, how strongly."""
 
@@ -109,6 +97,22 @@ class EdgeKnowledge:
     def __post_init__(self) -> None:
         object.__setattr__(self, "capacity", float(self.capacity))
         object.__setattr__(self, "strength", float(self.strength))
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One connection ``tail -> head`` with its flow attributes.
+
+    Endpoints are references, not objects: a component type id, an
+    environment node id, or a dotted ``subsystem.port`` pair addressing an
+    exported port of a nested subsystem. A flattened graph uses the same
+    record, with instance ids as endpoints.
+    """
+
+    id: str
+    tail: str
+    head: str
+    knowledge: EdgeKnowledge
 
 
 @dataclass(frozen=True)
@@ -157,19 +161,6 @@ def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
 
 
 @dataclass(frozen=True)
-class InternalGraph:
-    """Connections among components at one level.
-
-    Only the edges: the nodes are the level's declared components.
-    """
-
-    edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _sorted_edges(self.edges))
-
-
-@dataclass(frozen=True)
 class InterfaceGraph:
     """Connections between components and the environment at one level."""
 
@@ -181,9 +172,6 @@ class InterfaceGraph:
             self, "env_nodes", tuple(sorted(self.env_nodes, key=lambda n: n.id))
         )
         object.__setattr__(self, "edges", _sorted_edges(self.edges))
-
-    def env_ids(self) -> frozenset[str]:
-        return frozenset(n.id for n in self.env_nodes)
 
 
 @dataclass(frozen=True)
@@ -245,15 +233,18 @@ class ComponentDecl:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A complete system description at one nesting level."""
+    """A complete system description at one nesting level.
+
+    ``network`` holds the edges among the level's components, sorted by
+    id; its nodes are the components themselves.
+    """
 
     id: str
     level: int = 0
     components: tuple[ComponentDecl, ...] = ()
-    network: InternalGraph = InternalGraph()
+    network: tuple[Edge, ...] = ()
     interface: InterfaceGraph = InterfaceGraph()
     boundary: BoundarySpec = BoundarySpec()
-    knowledge: tuple[tuple[str, EdgeKnowledge], ...] = ()
     history_policy: HistoryPolicy = HistoryPolicy.RECORD
 
     def __post_init__(self) -> None:
@@ -262,12 +253,7 @@ class SystemSpec:
             "components",
             tuple(sorted(self.components, key=lambda c: c.type_id)),
         )
-        knowledge = self.knowledge
-        if isinstance(knowledge, Mapping):
-            knowledge = tuple(knowledge.items())
-        object.__setattr__(
-            self, "knowledge", tuple(sorted(knowledge, key=lambda kv: kv[0]))
-        )
+        object.__setattr__(self, "network", _sorted_edges(self.network))
 
     def component(self, type_id: str) -> ComponentDecl | None:
         for comp in self.components:
@@ -275,12 +261,9 @@ class SystemSpec:
                 return comp
         return None
 
-    def knowledge_map(self) -> dict[str, EdgeKnowledge]:
-        return dict(self.knowledge)
-
     def all_edges(self) -> tuple[Edge, ...]:
         """Network and interface edges together, sorted by id."""
-        return _sorted_edges(self.network.edges + self.interface.edges)
+        return _sorted_edges(self.network + self.interface.edges)
 
 
 def make_system(
@@ -288,7 +271,7 @@ def make_system(
     *,
     level: int = 0,
     components: Iterable[ComponentDecl] = (),
-    edges: Iterable[tuple[Edge, EdgeKnowledge]] = (),
+    edges: Iterable[Edge] = (),
     env: Iterable[EnvNode] = (),
     boundary: BoundarySpec = BoundarySpec(),
     history: HistoryPolicy = HistoryPolicy.RECORD,
@@ -305,23 +288,20 @@ def make_system(
     env_ids = {n.id for n in env}
     internal: list[Edge] = []
     boundary_edges: list[Edge] = []
-    knowledge: list[tuple[str, EdgeKnowledge]] = []
-    for edge, know in edges:
+    for edge in edges:
         tail_base, _ = split_endpoint(edge.tail)
         head_base, _ = split_endpoint(edge.head)
         if tail_base in env_ids or head_base in env_ids:
             boundary_edges.append(edge)
         else:
             internal.append(edge)
-        knowledge.append((edge.id, know))
     return SystemSpec(
         id=id,
         level=level,
         components=components,
-        network=InternalGraph(edges=tuple(internal)),
+        network=tuple(internal),
         interface=InterfaceGraph(env_nodes=env, edges=tuple(boundary_edges)),
         boundary=boundary,
-        knowledge=tuple(knowledge),
         history_policy=history,
     )
 
@@ -532,7 +512,7 @@ def _validate_level(
 
     # Network edges: strictly internal.
     edge_ids: set[str] = set()
-    for edge in spec.network.edges:
+    for edge in spec.network:
         epath = f"{path}/edges/{edge.id}"
         if edge.id in edge_ids:
             bad(f"duplicate edge id {edge.id!r}", epath)
@@ -581,15 +561,13 @@ def _validate_level(
             )
         check_internal_ref(internal_ref, internal_side, epath)
 
-    # Knowledge: one entry per edge, each entry well-formed.
-    know = spec.knowledge_map()
-    for edge_id in sorted(edge_ids):
-        if edge_id not in know:
-            bad(f"edge {edge_id!r} has no flow attributes", f"{path}/knowledge")
-    for edge_id, entry in spec.knowledge:
-        kpath = f"{path}/knowledge/{edge_id}"
-        if edge_id not in edge_ids:
-            bad(f"flow attributes reference unknown edge {edge_id!r}", kpath)
+    # Flow attributes, in edge-id order.
+    for edge in spec.all_edges():
+        kpath = f"{path}/knowledge/{edge.id}"
+        entry = edge.knowledge
+        if not isinstance(entry, EdgeKnowledge):
+            bad(f"flow attributes must be EdgeKnowledge, got {entry!r}", kpath)
+            continue
         if not _is_quantity(entry.capacity):
             bad(f"capacity must be a finite non-negative quantity, got {entry.capacity!r}", kpath)
         if not _is_quantity(entry.strength):
@@ -599,8 +577,6 @@ def _validate_level(
                 f"substance {entry.substance!r} is not allowed by the boundary",
                 kpath,
             )
-    if len(set(k for k, _ in spec.knowledge)) != len(spec.knowledge):
-        bad("duplicate flow attribute entries for one edge", f"{path}/knowledge")
 
     # Recurse.
     for type_id, sub in sorted(subsystems.items()):

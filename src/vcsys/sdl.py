@@ -249,7 +249,7 @@ def _parse_body(
     tokens = stream.tokens
     components: list[ComponentDecl] = []
     env: list[EnvNode] = []
-    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    edges: list[Edge] = []
     boundary: BoundarySpec | None = None
     history: HistoryPolicy | None = None
 
@@ -370,12 +370,8 @@ def _parse_body(
                 if _kind(tokens[strength_at]) != "number":
                     raise stream.error("strength must be a quantity", strength_at)
                 strength = float(tokens[strength_at])
-            edges.append(
-                (
-                    Edge(name, tail, head),
-                    EdgeKnowledge(float(tokens[capacity_at]), tokens[substance_at], strength),
-                )
-            )
+            know = EdgeKnowledge(float(tokens[capacity_at]), tokens[substance_at], strength)
+            edges.append(Edge(name, tail, head, know))
 
         elif tok == "boundary":
             if boundary is not None:
@@ -561,16 +557,12 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
             lines.append(f"{pad}sink {node.id} scope={node.scope.value}")
         else:
             lines.append(f"{pad}entity {node.id}")
-    know = spec.knowledge_map()
     for edge in spec.all_edges():
-        entry = know.get(edge.id)
-        attrs = ""
-        if entry is not None:
-            attrs = f" substance={entry.substance} capacity={fmt_qty(entry.capacity)}"
-            if entry.strength != 1.0:
-                attrs += f" strength={fmt_qty(entry.strength)}"
-            attrs += " "
-        lines.append(f"{pad}edge {edge.id} {edge.tail} -> {edge.head} {{{attrs}}}")
+        know = edge.knowledge
+        attrs = f"substance={know.substance} capacity={fmt_qty(know.capacity)}"
+        if know.strength != 1.0:
+            attrs += f" strength={fmt_qty(know.strength)}"
+        lines.append(f"{pad}edge {edge.id} {edge.tail} -> {edge.head} {{ {attrs} }}")
     if spec.boundary != BoundarySpec():
         b = spec.boundary
         parts = []

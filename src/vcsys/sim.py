@@ -469,6 +469,8 @@ def _parse_log_lines(lines: Iterable[str], source: str) -> HistoryLog:
                     or type(header.steps) is not int
                 ):
                     raise TypeError("model_hash must be a string, start_tick and steps ints")
+                if header.start_tick < 0 or header.steps < 0:
+                    raise ValueError("start_tick and steps must be non-negative")
             else:
                 tick, amount = raw["tick"], raw["amount"]
                 edge, substance = raw["edge"], raw["substance"]

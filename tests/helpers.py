@@ -46,9 +46,9 @@ def demo_chain_spec(
         ],
         env=[SourceNode("S", rate, "grain"), SinkNode("M", Scope.NATIONAL)],
         edges=[
-            (Edge("e_sp", "S", "P"), EdgeKnowledge(caps[0], "grain", strength)),
-            (Edge("e_pt", "P", "T"), EdgeKnowledge(caps[1], "grain", strength)),
-            (Edge("e_tm", "T", "M"), EdgeKnowledge(caps[2], "grain", strength)),
+            Edge("e_sp", "S", "P", EdgeKnowledge(caps[0], "grain", strength)),
+            Edge("e_pt", "P", "T", EdgeKnowledge(caps[1], "grain", strength)),
+            Edge("e_tm", "T", "M", EdgeKnowledge(caps[2], "grain", strength)),
         ],
         boundary=BoundarySpec(frozenset({"grain"}), frozenset({"grain"})),
         history=history,
@@ -65,10 +65,10 @@ def diamond_spec() -> SystemSpec:
         ],
         env=[SourceNode("S", 2, "grain"), SinkNode("M", Scope.LOCAL)],
         edges=[
-            (Edge("e1", "S", "A"), EdgeKnowledge(1, "grain")),
-            (Edge("e2", "S", "B"), EdgeKnowledge(1, "grain")),
-            (Edge("e3", "A", "M"), EdgeKnowledge(1, "grain")),
-            (Edge("e4", "B", "M"), EdgeKnowledge(1, "grain")),
+            Edge("e1", "S", "A", EdgeKnowledge(1, "grain")),
+            Edge("e2", "S", "B", EdgeKnowledge(1, "grain")),
+            Edge("e3", "A", "M", EdgeKnowledge(1, "grain")),
+            Edge("e4", "B", "M", EdgeKnowledge(1, "grain")),
         ],
     )
 
@@ -87,10 +87,10 @@ def two_sink_spec() -> SystemSpec:
             SinkNode("M2", Scope.GLOBAL),
         ],
         edges=[
-            (Edge("e_sp", "S", "P"), EdgeKnowledge(4, "grain")),
-            (Edge("e_pt", "P", "T"), EdgeKnowledge(3, "grain")),
-            (Edge("e_t1", "T", "M1"), EdgeKnowledge(2, "grain")),
-            (Edge("e_t2", "T", "M2"), EdgeKnowledge(2, "grain")),
+            Edge("e_sp", "S", "P", EdgeKnowledge(4, "grain")),
+            Edge("e_pt", "P", "T", EdgeKnowledge(3, "grain")),
+            Edge("e_t1", "T", "M1", EdgeKnowledge(2, "grain")),
+            Edge("e_t2", "T", "M2", EdgeKnowledge(2, "grain")),
         ],
     )
 
@@ -102,16 +102,16 @@ def fan_spec(producers: int, exporters: int) -> SystemSpec:
     """
     components = [ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1))]
     env: list = [SinkNode("M", Scope.GLOBAL)]
-    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    edges: list[Edge] = []
     for i in range(producers):
         components.append(ComponentDecl(f"P{i}", Atomic(Role.PRODUCER, 0)))
         env.append(SourceNode(f"S{i}", 1, "grain"))
-        edges.append((Edge(f"e_s{i}", f"S{i}", f"P{i}"), EdgeKnowledge(1, "grain")))
-        edges.append((Edge(f"e_p{i}", f"P{i}", "T"), EdgeKnowledge(1, "grain")))
+        edges.append(Edge(f"e_s{i}", f"S{i}", f"P{i}", EdgeKnowledge(1, "grain")))
+        edges.append(Edge(f"e_p{i}", f"P{i}", "T", EdgeKnowledge(1, "grain")))
     for j in range(exporters):
         components.append(ComponentDecl(f"X{j}", Atomic(Role.PROCESSOR_TRADER, 2)))
-        edges.append((Edge(f"e_t{j}", "T", f"X{j}"), EdgeKnowledge(1, "grain")))
-        edges.append((Edge(f"e_x{j}", f"X{j}", "M"), EdgeKnowledge(1, "grain")))
+        edges.append(Edge(f"e_t{j}", "T", f"X{j}", EdgeKnowledge(1, "grain")))
+        edges.append(Edge(f"e_x{j}", f"X{j}", "M", EdgeKnowledge(1, "grain")))
     return make_system(f"fan{producers}x{exporters}", components=components, edges=edges, env=env)
 
 
@@ -124,17 +124,17 @@ def shared_traders_spec(sources: int) -> SystemSpec:
         ComponentDecl(f"T{j}", Atomic(Role.PROCESSOR_TRADER, 1)) for j in range(traders)
     ]
     env: list = [SinkNode(f"M{k}", Scope.NATIONAL) for k in range(markets)]
-    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    edges: list[Edge] = []
     for i in range(sources):
         components.append(ComponentDecl(f"P{i}", Atomic(Role.PRODUCER, 0)))
         env.append(SourceNode(f"S{i}", 1, "grain"))
-        edges.append((Edge(f"e_s{i}", f"S{i}", f"P{i}"), EdgeKnowledge(1, "grain")))
+        edges.append(Edge(f"e_s{i}", f"S{i}", f"P{i}", EdgeKnowledge(1, "grain")))
         for step in (0, 1, 3):
             j = (i + step * (i % 3 + 1)) % traders
-            edges.append((Edge(f"e_p{i}_{step}", f"P{i}", f"T{j}"), EdgeKnowledge(1, "grain")))
+            edges.append(Edge(f"e_p{i}_{step}", f"P{i}", f"T{j}", EdgeKnowledge(1, "grain")))
     for j in range(traders):
         for k in sorted({j % markets, (j + 1) % markets}):
-            edges.append((Edge(f"e_t{j}_{k}", f"T{j}", f"M{k}"), EdgeKnowledge(1, "grain")))
+            edges.append(Edge(f"e_t{j}_{k}", f"T{j}", f"M{k}", EdgeKnowledge(1, "grain")))
     return make_system(f"shared{sources}", components=components, edges=edges, env=env)
 
 
@@ -145,7 +145,7 @@ def nested_two_level_spec() -> SystemSpec:
         level=1,
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0), multiplicity=2)],
         env=[EntityNode("out")],
-        edges=[(Edge("b_out", "plot", "out"), EdgeKnowledge(2, "grain"))],
+        edges=[Edge("b_out", "plot", "out", EdgeKnowledge(2, "grain"))],
     )
     return make_system(
         "estate",
@@ -155,8 +155,8 @@ def nested_two_level_spec() -> SystemSpec:
         ],
         env=[SinkNode("M", Scope.REGIONAL)],
         edges=[
-            (Edge("e_ft", "farm.out", "T"), EdgeKnowledge(3, "grain")),
-            (Edge("e_tm", "T", "M"), EdgeKnowledge(5, "grain")),
+            Edge("e_ft", "farm.out", "T", EdgeKnowledge(3, "grain")),
+            Edge("e_tm", "T", "M", EdgeKnowledge(5, "grain")),
         ],
     )
 
@@ -171,7 +171,7 @@ def nested_mult_spec() -> SystemSpec:
             ComponentDecl("y", Atomic(Role.SUPPORT_SERVICE, 0)),
         ],
         env=[EntityNode("out")],
-        edges=[(Edge("b1", "x", "out"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("b1", "x", "out", EdgeKnowledge(1, "grain"))],
     )
     return make_system(
         "plant",
@@ -179,7 +179,7 @@ def nested_mult_spec() -> SystemSpec:
             ComponentDecl("A", inner, multiplicity=2),
             ComponentDecl("B", Atomic(Role.BUYER, 1)),
         ],
-        edges=[(Edge("e1", "A.out", "B"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e1", "A.out", "B", EdgeKnowledge(1, "grain"))],
     )
 
 
@@ -190,7 +190,7 @@ def three_level_spec() -> SystemSpec:
         level=2,
         components=[ComponentDecl("h", Atomic(Role.PRODUCER, 0))],
         env=[EntityNode("out")],
-        edges=[(Edge("b_g", "h", "out"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("b_g", "h", "out", EdgeKnowledge(1, "grain"))],
     )
     farm = make_system(
         "farm",
@@ -200,7 +200,7 @@ def three_level_spec() -> SystemSpec:
             ComponentDecl("grange", grange),
         ],
         env=[EntityNode("out")],
-        edges=[(Edge("b_f", "grange.out", "out"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("b_f", "grange.out", "out", EdgeKnowledge(1, "grain"))],
     )
     return make_system(
         "country",
@@ -210,8 +210,8 @@ def three_level_spec() -> SystemSpec:
         ],
         env=[SinkNode("M", Scope.GLOBAL)],
         edges=[
-            (Edge("e_ft", "farm.out", "T"), EdgeKnowledge(2, "grain")),
-            (Edge("e_tm", "T", "M"), EdgeKnowledge(2, "grain")),
+            Edge("e_ft", "farm.out", "T", EdgeKnowledge(2, "grain")),
+            Edge("e_tm", "T", "M", EdgeKnowledge(2, "grain")),
         ],
     )
 
@@ -345,7 +345,7 @@ def _random_system(
         strength = 1.0 if rng.random() < 0.7 else round(rng.uniform(0.1, 3.0), 2)
         return EdgeKnowledge(capacity, rng.choice(substances), strength)
 
-    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    edges: list[Edge] = []
     env: list = []
 
     # Non-root systems export ports; the enclosing level must wire them.
@@ -353,13 +353,13 @@ def _random_system(
         out_port = f"po{next(counter)}"
         env.append(EntityNode(out_port))
         edges.append(
-            (Edge(f"b{next(counter)}", rng.choice(atom_ids), out_port), knowledge())
+            Edge(f"b{next(counter)}", rng.choice(atom_ids), out_port, knowledge())
         )
         if rng.random() < 0.5:
             in_port = f"pi{next(counter)}"
             env.append(EntityNode(in_port))
             edges.append(
-                (Edge(f"b{next(counter)}", in_port, rng.choice(atom_ids)), knowledge())
+                Edge(f"b{next(counter)}", in_port, rng.choice(atom_ids), knowledge())
             )
 
     # Ports exported by the children, by direction.
@@ -383,28 +383,28 @@ def _random_system(
     # Every child port gets at least one connection, so flattening never
     # finds an orphan binding.
     for ref in out_refs:
-        edges.append((Edge(f"g{next(counter)}", ref, rng.choice(atom_ids)), knowledge()))
+        edges.append(Edge(f"g{next(counter)}", ref, rng.choice(atom_ids), knowledge()))
     for ref in in_refs:
-        edges.append((Edge(f"g{next(counter)}", rng.choice(atom_ids), ref), knowledge()))
+        edges.append(Edge(f"g{next(counter)}", rng.choice(atom_ids), ref, knowledge()))
 
     for _ in range(rng.randint(0, n_comps)):
         edges.append(
-            (Edge(f"g{next(counter)}", rng.choice(tails), rng.choice(heads)), knowledge())
+            Edge(f"g{next(counter)}", rng.choice(tails), rng.choice(heads), knowledge())
         )
 
     env_chance = 0.7 if is_root else 0.2
     if rng.random() < env_chance:
         source = SourceNode(f"src{next(counter)}", float(rng.randint(1, 6)), substances[0])
         env.append(source)
-        edges.append((Edge(f"g{next(counter)}", source.id, rng.choice(heads)), knowledge()))
+        edges.append(Edge(f"g{next(counter)}", source.id, rng.choice(heads), knowledge()))
     if rng.random() < env_chance:
         sink = SinkNode(f"mkt{next(counter)}", rng.choice(SCOPES))
         env.append(sink)
-        edges.append((Edge(f"g{next(counter)}", rng.choice(tails), sink.id), knowledge()))
+        edges.append(Edge(f"g{next(counter)}", rng.choice(tails), sink.id, knowledge()))
     if is_root and rng.random() < 0.25:
         entity = EntityNode(f"bee{next(counter)}")
         env.append(entity)
-        edges.append((Edge(f"g{next(counter)}", rng.choice(atom_ids), entity.id), knowledge()))
+        edges.append(Edge(f"g{next(counter)}", rng.choice(atom_ids), entity.id, knowledge()))
 
     allowed = None if rng.random() < 0.6 else frozenset(SUBSTANCES)
     conserved = frozenset(substances) if rng.random() < 0.4 else frozenset()
@@ -444,13 +444,12 @@ def random_flow_model(
             return float(rng.randint(0, 10))
         return round(rng.uniform(0, 10), 3)
 
-    edges: list[tuple[Edge, EdgeKnowledge]] = []
+    edges: list[Edge] = []
     for _ in range(rng.randint(0, 2 * n_nodes)):
         tail, head = rng.choice(node_ids), rng.choice(node_ids)
         edges.append(
-            (
-                Edge(f"e{next(counter)}", tail, head),
-                EdgeKnowledge(quantity(), rng.choice(substances)),
+            Edge(
+                f"e{next(counter)}", tail, head, EdgeKnowledge(quantity(), rng.choice(substances))
             )
         )
     env: list = []
@@ -458,8 +457,10 @@ def random_flow_model(
         source = SourceNode(f"s{next(counter)}", quantity(), rng.choice(substances))
         env.append(source)
         edges.append(
-            (
-                Edge(f"e{next(counter)}", source.id, rng.choice(node_ids)),
+            Edge(
+                f"e{next(counter)}",
+                source.id,
+                rng.choice(node_ids),
                 EdgeKnowledge(quantity(), source.substance),
             )
         )
@@ -467,8 +468,10 @@ def random_flow_model(
         sink = SinkNode(f"m{next(counter)}", rng.choice(SCOPES))
         env.append(sink)
         edges.append(
-            (
-                Edge(f"e{next(counter)}", rng.choice(node_ids), sink.id),
+            Edge(
+                f"e{next(counter)}",
+                rng.choice(node_ids),
+                sink.id,
                 EdgeKnowledge(quantity(), rng.choice(substances)),
             )
         )

@@ -42,7 +42,7 @@ def expected_type_counts(spec: SystemSpec, factor: int = 1, acc=None) -> dict[st
 def _endpoint_instances(spec: SystemSpec, ref: str, outgoing: bool) -> int:
     """How many flat endpoints one occurrence of `ref` stands for."""
     base, port = split_endpoint(ref)
-    if base in spec.interface.env_ids():
+    if base in {n.id for n in spec.interface.env_nodes}:
         return 1
     comp = spec.component(base)
     if comp.is_atomic:
@@ -61,7 +61,7 @@ def _endpoint_instances(spec: SystemSpec, ref: str, outgoing: bool) -> int:
 def expected_edge_count(spec: SystemSpec, is_root: bool = True) -> int:
     total = 0
     env_nodes = {n.id: n for n in spec.interface.env_nodes}
-    for edge in spec.network.edges:
+    for edge in spec.network:
         total += _endpoint_instances(spec, edge.tail, True) * _endpoint_instances(
             spec, edge.head, False
         )

@@ -1,6 +1,7 @@
 """Linkage classes, governance centrality, reachability, weak links."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -46,7 +47,7 @@ def horizontal_pair_spec():
             ComponentDecl("P1", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("P2", Atomic(Role.PRODUCER, 0)),
         ],
-        edges=[(Edge("e_h", "P1", "P2"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e_h", "P1", "P2", EdgeKnowledge(1, "grain"))],
     )
 
 
@@ -94,9 +95,9 @@ def test_governance_isolated_node_scores_zero():
         ],
         env=[SourceNode("S", 1, "grain"), SinkNode("M", Scope.LOCAL)],
         edges=[
-            (Edge("e1", "S", "P"), EdgeKnowledge(1, "grain")),
-            (Edge("e2", "P", "T"), EdgeKnowledge(1, "grain")),
-            (Edge("e3", "T", "M"), EdgeKnowledge(1, "grain")),
+            Edge("e1", "S", "P", EdgeKnowledge(1, "grain")),
+            Edge("e2", "P", "T", EdgeKnowledge(1, "grain")),
+            Edge("e3", "T", "M", EdgeKnowledge(1, "grain")),
         ],
     )
     scores = {s.node: s.score for s in governance_centrality(flatten(spec))}
@@ -159,18 +160,11 @@ def test_reachability_monotone_under_edge_addition():
         flat = flatten(spec)
         before = end_market_reachability(flat)
         nodes = [c.type_id for c in spec.components]
-        extra = (
-            Edge("zz_extra", rng.choice(nodes), rng.choice(nodes)),
-            EdgeKnowledge(5, "grain"),
-        )
+        extra = Edge("zz_extra", rng.choice(nodes), rng.choice(nodes), EdgeKnowledge(5, "grain"))
         bigger = make_system(
             spec.id,
             components=list(spec.components),
-            edges=[
-                (e, spec.knowledge_map()[e.id])
-                for e in spec.network.edges + spec.interface.edges
-            ]
-            + [extra],
+            edges=list(spec.all_edges()) + [extra],
             env=list(spec.interface.env_nodes),
             boundary=spec.boundary,
         )
@@ -211,6 +205,12 @@ def test_weak_report_missing_tier_pair():
 def test_weak_report_rejects_negative_threshold():
     with pytest.raises(ValueError):
         weak_linkage_report(flatten(demo_chain_spec()), -1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_weak_report_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be a finite non-negative number"):
+        weak_linkage_report(flatten(demo_chain_spec()), threshold)
 
 
 # --- value added ------------------------------------------------------------

@@ -172,6 +172,22 @@ def test_analyze_weak_strict_exit(capsys):
     )
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+def test_analyze_weak_refuses_a_bad_threshold_with_one_line(threshold, capsys):
+    code = main(["analyze", DEMO, "--metric", "weak", "--threshold", threshold])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "threshold must be a finite non-negative number" in captured.err
+
+
+def test_flatten_json_reproduces_golden_flat_graph(capsys):
+    assert main(["flatten", NESTED, "--json"]) == 0
+    golden = (FIXTURES / "nested.flat.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_stdin_dash(capsys, monkeypatch):
     text = Path(DEMO).read_text()
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))

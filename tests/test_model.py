@@ -17,7 +17,6 @@ from vcsys import (
     EntityNode,
     HistoryPolicy,
     InterfaceGraph,
-    InternalGraph,
     InvalidSpec,
     PathHitsAtomic,
     PathNotFound,
@@ -58,7 +57,7 @@ def test_validate_reports_unresolved_endpoint():
     spec = make_system(
         "dangling",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        edges=[(Edge("e1", "P", "x"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e1", "P", "x", EdgeKnowledge(1, "grain"))],
     )
     report = validate(spec)
     assert len(report) == 1
@@ -72,7 +71,7 @@ def test_validate_reports_boundary_substance():
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("Q", Atomic(Role.BUYER, 1)),
         ],
-        edges=[(Edge("e1", "P", "Q"), EdgeKnowledge(1, "steel"))],
+        edges=[Edge("e1", "P", "Q", EdgeKnowledge(1, "steel"))],
         boundary=BoundarySpec(allowed_substances=frozenset({"grain"})),
     )
     report = validate(spec)
@@ -120,26 +119,25 @@ def test_validate_source_direction_and_env_collisions():
         "envy",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
         env=[SourceNode("S", 1, "grain")],
-        edges=[(Edge("e1", "P", "S"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e1", "P", "S", EdgeKnowledge(1, "grain"))],
     )
     report = validate(spec)
     assert any("may only appear as an edge tail" in v.message for v in report)
 
 
 def test_validate_missing_knowledge():
-    import dataclasses
-
     spec = make_system(
         "nok",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("Q", Atomic(Role.BUYER, 1)),
         ],
-        edges=[(Edge("e1", "P", "Q"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e1", "P", "Q", None)],
     )
-    stripped = dataclasses.replace(spec, knowledge=())
-    report = validate(stripped)
-    assert any("has no flow attributes" in v.message for v in report)
+    report = validate(spec)
+    assert [(v.path, v.message) for v in report] == [
+        ("nok/knowledge/e1", "flow attributes must be EdgeKnowledge, got None")
+    ]
 
 
 def test_validate_conflicting_env_definition_across_levels():
@@ -149,8 +147,8 @@ def test_validate_conflicting_env_definition_across_levels():
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
         env=[SourceNode("S", 5, "grain"), EntityNode("out")],
         edges=[
-            (Edge("b1", "plot", "out"), EdgeKnowledge(1, "grain")),
-            (Edge("b2", "S", "plot"), EdgeKnowledge(1, "grain")),
+            Edge("b1", "plot", "out", EdgeKnowledge(1, "grain")),
+            Edge("b2", "S", "plot", EdgeKnowledge(1, "grain")),
         ],
     )
     outer = make_system(
@@ -161,8 +159,8 @@ def test_validate_conflicting_env_definition_across_levels():
         ],
         env=[SourceNode("S", 4, "grain")],  # same id, different rate
         edges=[
-            (Edge("e1", "farm.out", "T"), EdgeKnowledge(1, "grain")),
-            (Edge("e2", "S", "T"), EdgeKnowledge(1, "grain")),
+            Edge("e1", "farm.out", "T", EdgeKnowledge(1, "grain")),
+            Edge("e2", "S", "T", EdgeKnowledge(1, "grain")),
         ],
     )
     report = validate(outer)
@@ -175,7 +173,7 @@ def test_validate_level_sequence():
         level=5,  # should be 1
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
         env=[EntityNode("out")],
-        edges=[(Edge("b1", "plot", "out"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("b1", "plot", "out", EdgeKnowledge(1, "grain"))],
     )
     outer = make_system(
         "estate",
@@ -183,18 +181,16 @@ def test_validate_level_sequence():
             ComponentDecl("farm", inner),
             ComponentDecl("T", Atomic(Role.BUYER, 1)),
         ],
-        edges=[(Edge("e1", "farm.out", "T"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("e1", "farm.out", "T", EdgeKnowledge(1, "grain"))],
     )
     report = validate(outer)
     assert any("must be parent level + 1" in v.message for v in report)
 
 
-def _demo_with(env=None, network=None, interface=None, **changes):
+def _demo_with(env=None, interface=None, **changes):
     """The demo chain (S -> P -> T -> M) with some fields replaced; ``env``
     and the ``network`` and ``interface`` edges are given as tuples."""
     spec = demo_chain_spec()
-    if network is not None:
-        changes["network"] = InternalGraph(network)
     if env is not None or interface is not None:
         changes["interface"] = InterfaceGraph(
             spec.interface.env_nodes if env is None else env,
@@ -203,20 +199,21 @@ def _demo_with(env=None, network=None, interface=None, **changes):
     return dataclasses.replace(spec, **changes)
 
 
-def _know_with(edge_id, knowledge):
-    """The demo chain's flow attributes with the entry for ``edge_id`` replaced."""
-    return tuple((k, knowledge if k == edge_id else v) for k, v in _KNOW)
+def _sp_with(knowledge):
+    """The demo chain's interface edges, with the flow attributes of
+    ``e_sp`` replaced."""
+    return (dataclasses.replace(_E_SP, knowledge=knowledge), _E_TM)
 
 
 _P = ComponentDecl("P", Atomic(Role.PRODUCER, 0))
 _T = ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1))
 _S = SourceNode("S", 4, "grain")
 _M = SinkNode("M", Scope.NATIONAL)
-_KNOW = demo_chain_spec().knowledge
+_E_PT, _E_SP, _E_TM = demo_chain_spec().all_edges()
 _GRAIN = EdgeKnowledge(1, "grain")
 _FARM_WITHOUT_PORT = dataclasses.replace(
     nested_two_level_spec(),
-    network=InternalGraph((Edge("e_ft", "farm", "T"),)),
+    network=(Edge("e_ft", "farm", "T", EdgeKnowledge(3, "grain")),),
 )
 
 # Each validate rule no other test reaches: the spec and its exact report.
@@ -261,8 +258,12 @@ VALIDATE_RULES = {
         _demo_with(boundary=BoundarySpec(permitted_env_ids=frozenset({"S"}))),
         [("demo/env/M", "environment node 'M' is not permitted by the boundary")],
     ),
+    "duplicate_edge_id": (
+        _demo_with(network=(_E_PT, _E_PT)),
+        [("demo/edges/e_pt", "duplicate edge id 'e_pt'")],
+    ),
     "atomic_endpoint_with_port": (
-        _demo_with(network=(Edge("e_pt", "P.x", "T"),)),
+        _demo_with(network=(dataclasses.replace(_E_PT, tail="P.x"),)),
         [("demo/edges/e_pt", "atomic component 'P' has no port 'x'")],
     ),
     "subsystem_endpoint_without_port": (
@@ -276,45 +277,32 @@ VALIDATE_RULES = {
         ],
     ),
     "env_node_in_network": (
-        _demo_with(
-            network=(Edge("e_pt", "P", "T"), Edge("e_st", "S", "T")),
-            knowledge=_KNOW + (("e_st", _GRAIN),),
-        ),
+        _demo_with(network=(_E_PT, Edge("e_st", "S", "T", _GRAIN))),
         [("demo/edges/e_st", "environment node 'S' appears in the internal network")],
     ),
     "interface_edge_without_env": (
-        _demo_with(
-            interface=(Edge("e_sp", "S", "P"), Edge("e_tm", "T", "M"), Edge("e_tp", "T", "P")),
-            knowledge=_KNOW + (("e_tp", _GRAIN),),
-        ),
+        _demo_with(interface=(_E_SP, _E_TM, Edge("e_tp", "T", "P", _GRAIN))),
         [("demo/edges/e_tp", "interface edge has no environment endpoints")],
     ),
     "interface_edge_between_envs": (
-        _demo_with(
-            interface=(Edge("e_sm", "S", "M"), Edge("e_sp", "S", "P"), Edge("e_tm", "T", "M")),
-            knowledge=_KNOW + (("e_sm", _GRAIN),),
-        ),
+        _demo_with(interface=(Edge("e_sm", "S", "M", _GRAIN), _E_SP, _E_TM)),
         [("demo/edges/e_sm", "interface edge has two environment endpoints")],
     ),
     "port_on_env_node": (
-        _demo_with(interface=(Edge("e_sp", "S.x", "P"), Edge("e_tm", "T", "M"))),
+        _demo_with(interface=(dataclasses.replace(_E_SP, tail="S.x"), _E_TM)),
         [("demo/edges/e_sp", "environment node 'S' has no ports")],
     ),
-    "knowledge_for_unknown_edge": (
-        _demo_with(knowledge=_KNOW + (("ghost", _GRAIN),)),
-        [("demo/knowledge/ghost", "flow attributes reference unknown edge 'ghost'")],
+    "knowledge_not_edge_knowledge": (
+        _demo_with(interface=_sp_with((4, "grain"))),
+        [("demo/knowledge/e_sp", "flow attributes must be EdgeKnowledge, got (4, 'grain')")],
     ),
     "infinite_capacity": (
-        _demo_with(knowledge=_know_with("e_sp", EdgeKnowledge(math.inf, "grain"))),
+        _demo_with(interface=_sp_with(EdgeKnowledge(math.inf, "grain"))),
         [("demo/knowledge/e_sp", "capacity must be a finite non-negative quantity, got inf")],
     ),
     "nan_strength": (
-        _demo_with(knowledge=_know_with("e_sp", EdgeKnowledge(4, "grain", math.nan))),
+        _demo_with(interface=_sp_with(EdgeKnowledge(4, "grain", math.nan))),
         [("demo/knowledge/e_sp", "strength must be a finite non-negative number, got nan")],
-    ),
-    "duplicate_knowledge": (
-        _demo_with(knowledge=_KNOW + (("e_pt", _GRAIN),)),
-        [("demo/knowledge", "duplicate flow attribute entries for one edge")],
     ),
 }
 
@@ -449,7 +437,7 @@ def test_flatten_unwired_port_raises():
         level=1,
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
         env=[EntityNode("out")],
-        edges=[(Edge("b1", "plot", "out"), EdgeKnowledge(1, "grain"))],
+        edges=[Edge("b1", "plot", "out", EdgeKnowledge(1, "grain"))],
     )
     outer = make_system(
         "estate",
@@ -466,7 +454,7 @@ def test_flatten_unwired_port_raises():
 @pytest.mark.parametrize(
     "spec",
     [
-        dataclasses.replace(demo_chain_spec(), knowledge=()),
+        _demo_with(network=(dataclasses.replace(_E_PT, knowledge=None),)),
         make_system(
             "none", components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0), multiplicity=0)]
         ),
@@ -504,41 +492,32 @@ def _replace_at(spec, path, new):
 
 
 def _mutate(rng, spec):
-    """Drop one edge (with its flow attributes), drop one flow-attribute
-    entry, or swap the tail and head of one edge with a port reference,
-    at a random level of the tree. (None, None) when there is no edge."""
+    """Drop one edge or swap the tail and head of one edge with a port
+    reference, at a random level of the tree. (None, None) when there is
+    no edge."""
     options = []
     for path, s in _levels(spec):
         for edge in s.all_edges():
             options.append(("drop_edge", path, s, edge))
             if "." in edge.tail or "." in edge.head:
                 options.append(("swap_port", path, s, edge))
-        for edge_id, _ in s.knowledge:
-            options.append(("drop_knowledge", path, s, edge_id))
     kinds = sorted({kind for kind, *_ in options})
     if not kinds:
         return None, None
     kind = rng.choice(kinds)
     _, path, s, target = rng.choice([o for o in options if o[0] == kind])
-    if kind == "drop_knowledge":
-        level = dataclasses.replace(
-            s, knowledge=[kv for kv in s.knowledge if kv[0] != target]
-        )
-    else:
-        def edit(edges):
-            if kind == "drop_edge":
-                return [e for e in edges if e.id != target.id]
-            return [Edge(e.id, e.head, e.tail) if e.id == target.id else e for e in edges]
 
-        knowledge = s.knowledge
+    def edit(edges):
         if kind == "drop_edge":
-            knowledge = [kv for kv in knowledge if kv[0] != target.id]
-        level = dataclasses.replace(
-            s,
-            network=dataclasses.replace(s.network, edges=edit(s.network.edges)),
-            interface=dataclasses.replace(s.interface, edges=edit(s.interface.edges)),
-            knowledge=knowledge,
-        )
+            return [e for e in edges if e.id != target.id]
+        swapped = dataclasses.replace(target, tail=target.head, head=target.tail)
+        return [swapped if e.id == target.id else e for e in edges]
+
+    level = dataclasses.replace(
+        s,
+        network=edit(s.network),
+        interface=dataclasses.replace(s.interface, edges=edit(s.interface.edges)),
+    )
     return kind, _replace_at(spec, path, level)
 
 
@@ -558,7 +537,7 @@ def test_flatten_agrees_with_validate_on_mutants():
             with pytest.raises(InvalidSpec):
                 flatten(mutant)
         outcomes[kind, report.ok] = outcomes.get((kind, report.ok), 0) + 1
-    assert {kind for kind, _ in outcomes} == {"drop_edge", "drop_knowledge", "swap_port"}
+    assert {kind for kind, _ in outcomes} == {"drop_edge", "swap_port"}
     assert {ok for _, ok in outcomes} == {True, False}
 
 

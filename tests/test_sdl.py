@@ -44,7 +44,7 @@ def test_parse_empty_system():
     assert spec.id == "demo"
     assert spec.level == 0
     assert spec.components == ()
-    assert spec.network.edges == ()
+    assert spec.network == ()
     assert spec.interface.env_nodes == ()
     assert spec.boundary.allowed_substances is None
     assert spec.history_policy is HistoryPolicy.RECORD
@@ -55,7 +55,7 @@ def test_parse_demo_chain():
     assert doc.ok, doc.diagnostics
     spec = doc.root
     assert len(spec.components) == 2
-    assert len(spec.network.edges) + len(spec.interface.edges) == 3
+    assert len(spec.network) + len(spec.interface.edges) == 3
     assert len(spec.interface.env_nodes) == 2
     assert spec == demo_chain_spec()
 

@@ -60,9 +60,9 @@ def contention_spec(stocklike=False):
         ],
         env=[SourceNode("S", 2, "grain")],
         edges=[
-            (Edge("e_in", "S", "P"), EdgeKnowledge(2, "grain")),
-            (Edge("e_pa", "P", "A"), EdgeKnowledge(3, "grain")),
-            (Edge("e_pb", "P", "B"), EdgeKnowledge(1, "grain")),
+            Edge("e_in", "S", "P", EdgeKnowledge(2, "grain")),
+            Edge("e_pa", "P", "A", EdgeKnowledge(3, "grain")),
+            Edge("e_pb", "P", "B", EdgeKnowledge(1, "grain")),
         ],
     )
 
@@ -90,8 +90,8 @@ def test_init_state_two_substances():
             ComponentDecl("Q", Atomic(Role.BUYER, 1)),
         ],
         edges=[
-            (Edge("e1", "P", "Q"), EdgeKnowledge(1, "grain")),
-            (Edge("e2", "P", "Q"), EdgeKnowledge(1, "milk")),
+            Edge("e1", "P", "Q", EdgeKnowledge(1, "grain")),
+            Edge("e2", "P", "Q", EdgeKnowledge(1, "milk")),
         ],
     )
     state = init_state(flatten(spec))
@@ -177,7 +177,7 @@ def test_step_source_substance_must_match_edge():
         "mismatch",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
         env=[SourceNode("S", 4, "grain")],
-        edges=[(Edge("e1", "S", "P"), EdgeKnowledge(4, "milk"))],
+        edges=[Edge("e1", "S", "P", EdgeKnowledge(4, "milk"))],
     )
     flat = flatten(spec)
     state, records = step(init_state(flat), flat)
@@ -397,6 +397,8 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
         (LOG_HEADER.replace('"steps": 1', '"steps": 2.5') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": false') + '\n', 1),
         (LOG_HEADER.replace('"h"', 'null') + '\n', 1),
+        (LOG_HEADER.replace('"start_tick": 0', '"start_tick": -1') + '\n', 1),
+        (LOG_HEADER.replace('"steps": 1', '"steps": -3') + '\n', 1),
     ],
     ids=[
         "header_missing_key",
@@ -415,6 +417,8 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
         "float_steps",
         "bool_steps",
         "null_model_hash",
+        "negative_start_tick",
+        "negative_steps",
     ],
 )
 def test_read_log_malformed_line_raises_typed_error(text, line):
@@ -632,9 +636,9 @@ def milkshed_spec():
         ],
         env=[SourceNode("S", 402.25, "milk"), SinkNode("M", Scope.NATIONAL)],
         edges=[
-            (Edge("e_sp", "S", "P"), EdgeKnowledge(99.6, "milk")),
-            (Edge("e_pt", "P", "T"), EdgeKnowledge(56.4, "milk")),
-            (Edge("e_tm", "T", "M"), EdgeKnowledge(67.2, "milk")),
+            Edge("e_sp", "S", "P", EdgeKnowledge(99.6, "milk")),
+            Edge("e_pt", "P", "T", EdgeKnowledge(56.4, "milk")),
+            Edge("e_tm", "T", "M", EdgeKnowledge(67.2, "milk")),
         ],
         boundary=BoundarySpec(frozenset({"milk"}), frozenset({"milk"})),
     )
