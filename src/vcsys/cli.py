@@ -117,15 +117,7 @@ def _cmd_validate(args: argparse.Namespace, max_depth: int) -> int:
     doc = _load(args.file, max_depth)
     result = {
         "ok": doc.ok,
-        "diagnostics": [
-            {
-                "severity": d.severity,
-                "line": d.line,
-                "column": d.column,
-                "message": d.message,
-            }
-            for d in doc.diagnostics
-        ],
+        "diagnostics": [vars(d) for d in doc.diagnostics],
     }
     _emit(_json_dumps(result), args.output)
     if doc.ok:
@@ -209,6 +201,9 @@ def _cmd_simulate(args: argparse.Namespace, max_depth: int) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace, max_depth: int) -> int:
+    if args.threshold is not None and args.metric != "weak":
+        sys.stderr.write("--threshold applies only to --metric weak\n")
+        return _EXIT_USAGE
     doc = _require_model(args, max_depth)
     flat = flatten(doc.root, max_depth)
     findings = False
@@ -232,7 +227,8 @@ def _cmd_analyze(args: argparse.Namespace, max_depth: int) -> int:
         }
     elif args.metric == "weak":
         try:
-            report = ana.weak_linkage_report(flat, args.threshold)
+            threshold = 0.0 if args.threshold is None else args.threshold
+            report = ana.weak_linkage_report(flat, threshold)
         except ValueError as exc:
             sys.stderr.write(f"--threshold: {exc}\n")
             return _EXIT_USAGE
@@ -298,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["linkages", "governance", "reachability", "weak", "value_added"],
     )
-    sub.add_argument("--threshold", type=float, default=0.0, help="weak-linkage capacity threshold")
+    sub.add_argument("--threshold", type=float, help="weak-linkage capacity threshold")
     sub.add_argument("--strict", action="store_true", help="exit 1 when findings exist")
     sub.set_defaults(func=_cmd_analyze)
 

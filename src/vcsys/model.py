@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -346,6 +347,10 @@ def _is_quantity(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
 
 
+# An SDL identifier: the only kind of name the text format can hold.
+_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
+
+
 # The last description validated, with its depth limit and report, so that
 # flatten(parse(text).root) validates the root once. Descriptions are
 # immutable, so identity is a safe key; it is compared with ``is`` because
@@ -359,10 +364,11 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
 
     Violations come back as data with tree paths; an empty report means the
     description is well-formed: all nesting, graph, boundary and knowledge
-    invariants hold, every edge's substance is allowed by the boundary, and
-    every port splices: ``sub.port`` names an entity node of ``sub`` that is
-    fed from inside when used as a tail and feeds inside when used as a
-    head, and every binding edge inside is used so by the enclosing level.
+    invariants hold, every name is an identifier of the text format, every
+    edge's substance is allowed by the boundary, and every port splices:
+    ``sub.port`` names an entity node of ``sub`` that is fed from inside
+    when used as a tail and feeds inside when used as a head, and every
+    binding edge inside is used so by the enclosing level.
     Arbitrary candidate descriptions are accepted; nothing raises.
     """
     global _last_report
@@ -392,6 +398,10 @@ def _validate_level(
     def bad(message: str, at: str | None = None) -> None:
         out.append(Violation(at or path, message))
 
+    def name(value: object, what: str, at: str) -> None:
+        if not (isinstance(value, str) and _identifier(value)):
+            bad(f"{what} {value!r} is not an identifier", at)
+
     if depth > max_depth:
         bad(f"nesting depth exceeds max_depth={max_depth}")
         return
@@ -413,10 +423,13 @@ def _validate_level(
         if comp.type_id in seen_types:
             bad(f"duplicate component type {comp.type_id!r}", cpath)
         seen_types.add(comp.type_id)
+        name(comp.type_id, "component type", cpath)
         if not isinstance(comp.multiplicity, int) or comp.multiplicity < 1:
             bad(f"multiplicity must be a positive integer, got {comp.multiplicity!r}", cpath)
         if comp.variations:
             labels = [label for label, _ in comp.variations]
+            for label in labels:
+                name(label, "variation label", cpath)
             if len(set(labels)) != len(labels):
                 bad("variation labels must be distinct", cpath)
             if any(count < 1 for _, count in comp.variations):
@@ -446,6 +459,9 @@ def _validate_level(
         if node.id in env_by_id:
             bad(f"duplicate environment node {node.id!r}", epath)
         env_by_id.setdefault(node.id, node)
+        name(node.id, "environment node", epath)
+        if isinstance(node, SourceNode):
+            name(node.substance, "substance", epath)
         if node.id in seen_types:
             bad(
                 f"identifier {node.id!r} is declared as both a component and an"
@@ -468,6 +484,9 @@ def _validate_level(
 
     # Boundary.
     b = spec.boundary
+    names = {*(b.allowed_substances or ()), *b.conserved_substances, *(b.permitted_env_ids or ())}
+    for value in sorted(names, key=repr):
+        name(value, "boundary name", f"{path}/boundary")
     if b.allowed_substances is not None:
         stray = b.conserved_substances - b.allowed_substances
         if stray:
@@ -517,6 +536,7 @@ def _validate_level(
         if edge.id in edge_ids:
             bad(f"duplicate edge id {edge.id!r}", epath)
         edge_ids.add(edge.id)
+        name(edge.id, "edge id", epath)
         for ref, side in ((edge.tail, "tail"), (edge.head, "head")):
             base, _ = split_endpoint(ref)
             if base in env_by_id:
@@ -531,6 +551,7 @@ def _validate_level(
         if edge.id in edge_ids:
             bad(f"duplicate edge id {edge.id!r}", epath)
         edge_ids.add(edge.id)
+        name(edge.id, "edge id", epath)
         tail_base, _ = split_endpoint(edge.tail)
         head_base, _ = split_endpoint(edge.head)
         tail_env = tail_base in env_by_id
@@ -568,6 +589,7 @@ def _validate_level(
         if not isinstance(entry, EdgeKnowledge):
             bad(f"flow attributes must be EdgeKnowledge, got {entry!r}", kpath)
             continue
+        name(entry.substance, "substance", kpath)
         if not _is_quantity(entry.capacity):
             bad(f"capacity must be a finite non-negative quantity, got {entry.capacity!r}", kpath)
         if not _is_quantity(entry.strength):

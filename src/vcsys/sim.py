@@ -12,10 +12,11 @@ conservation exact rather than approximate.
 
 Runs append one record per positive flow to the history unless the model
 was declared with a null history policy, in which case the trajectory is
-identical but nothing is remembered. A history can be replayed against
-its model to reproduce the final state bit for bit; logs serialize as
-line-delimited JSON with a header line carrying the model hash and the
-run parameters.
+identical but nothing is remembered. A record names a tick, an edge and
+an amount; a log's header names the model by its hash, which pins down
+everything else, and the number of ticks. A history replays against its
+model to the final state bit for bit. A tick that leaves a stock or a
+delivery counter non-finite raises :class:`VcsysError`.
 
 Each log line is exactly ``json.dumps`` of the header's or the record's
 fields with its defaults: keys in field order, ``", "`` and ``": "`` as
@@ -81,20 +82,19 @@ class NullHistory(VcsysError):
 
 @dataclass(frozen=True)
 class TransitionRecord:
-    """One flow event: at `tick`, `amount` of `substance` moved along `edge`."""
+    """One flow event: at `tick`, `amount` moved along `edge`."""
 
     tick: int
     edge: str
-    substance: str
     amount: float
 
 
 @dataclass(frozen=True)
 class LogHeader:
+    """The model a history was recorded against, and its number of ticks."""
+
     model_hash: str
-    start_tick: int
     steps: int
-    history: HistoryPolicy
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class _Route(NamedTuple):
     """Where a flow along one edge goes; a key is None where no stock is kept."""
 
     id: str
-    substance: str
+    capacity: float
     draw: tuple[str, str] | None  # the actor stock it empties
     fill: tuple[str, str] | None  # the actor stock it fills
     sink: tuple[str, str] | None  # the end-market counter it feeds
@@ -151,7 +151,7 @@ class _Plan:
             tail_env, head_env = env.get(edge.tail), env.get(edge.head)
             route = self.routes[edge.id] = _Route(
                 edge.id,
-                substance,
+                capacity,
                 (edge.tail, substance) if edge.tail in internal else None,
                 (edge.head, substance) if edge.head in internal else None,
                 (edge.head, substance) if isinstance(head_env, SinkNode) else None,
@@ -225,7 +225,7 @@ def _apply(flows: Iterable[_Flow], stocks: _Stocks, received: _Stocks) -> None:
             received[route.sink] = received.get(route.sink, 0.0) + amount
 
 
-def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks) -> list[_Flow]:
+def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks, tick: int) -> list[_Flow]:
     """Advance `stocks` and `received` one tick in place; returns the flows.
 
     Every flow is computed from the start-of-tick stocks before any is
@@ -240,6 +240,12 @@ def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks) -> list[_Flow]:
             flows.extend(_ration(pool, group, wanted, integral))
     flows.sort(key=_by_id)
     _apply(flows, stocks, received)
+    # One sum per table catches any inf or nan; only then is each value read.
+    for what, table in (("stock", stocks), ("delivery counter", received)):
+        if not math.isfinite(sum(table.values())):
+            for key, value in table.items():
+                if not math.isfinite(value):
+                    raise VcsysError(f"tick {tick}: {what} {key} overflowed to {value}")
     return flows
 
 
@@ -259,8 +265,8 @@ def step(
             raise InconsistentState(f"delivery counter {sink!r} is not a sink")
     stocks = dict(state.stocks)
     received = dict(state.sink_received)
-    flows = _tick(plan, stocks, received)
-    records = [TransitionRecord(state.tick, r.id, r.substance, a) for r, a in flows]
+    flows = _tick(plan, stocks, received, state.tick)
+    records = [TransitionRecord(state.tick, r.id, a) for r, a in flows]
     return SimulationState(state.tick + 1, stocks, received), records
 
 
@@ -268,7 +274,8 @@ def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
     """Run `steps` ticks from a zero state.
 
     With a null history policy the trajectory is the same but the log
-    stays empty.
+    stays empty. Raises :class:`VcsysError` on the first tick after which
+    a stock or a delivery counter is no longer finite.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -277,37 +284,34 @@ def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
     collected: list[TransitionRecord] = []
     recording = flat.history_policy is HistoryPolicy.RECORD
     for tick in range(steps):
-        flows = _tick(plan, state.stocks, state.sink_received)
+        flows = _tick(plan, state.stocks, state.sink_received, tick)
         if recording:
-            collected.extend(TransitionRecord(tick, r.id, r.substance, a) for r, a in flows)
-    header = LogHeader(model_hash(flat), 0, steps, flat.history_policy)
+            collected.extend(TransitionRecord(tick, r.id, a) for r, a in flows)
+    header = LogHeader(model_hash(flat), steps)
     return replace(state, tick=steps), HistoryLog(header, tuple(collected))
 
 
 def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
     """Reapply a recorded history to reproduce the run's final state.
 
-    Every record must name an edge of the model and that edge's substance,
-    carry a finite positive amount and fall inside the logged ticks.
+    Every record must name an edge of the model, fall inside the logged
+    ticks and move a positive amount no larger than the edge's capacity.
     """
     if log.header.model_hash != model_hash(flat):
         raise HashMismatch("history was recorded against a different model")
-    if log.header.history is HistoryPolicy.NULL:
+    if flat.history_policy is HistoryPolicy.NULL:
         raise NullHistory("a null history has no records to replay")
     plan = _Plan(flat)
-    first = log.header.start_tick
-    end = first + log.header.steps
+    end = log.header.steps
     by_tick: dict[int, list[_Flow]] = {}
     for record in log.records:
         route = plan.routes.get(record.edge)
         if route is None:
             raise InconsistentState(f"record references unknown edge {record.edge!r}")
-        if not first <= record.tick < end:
-            problem = f"lies outside ticks [{first}, {end})"
-        elif record.substance != route.substance:
-            problem = f"moves {record.substance!r}; the edge carries {route.substance!r}"
-        elif not 0 < record.amount < math.inf:
-            problem = f"has amount {record.amount}"
+        if not 0 <= record.tick < end:
+            problem = f"lies outside ticks [0, {end})"
+        elif not 0 < record.amount <= route.capacity:
+            problem = f"has amount {record.amount}, outside (0, {route.capacity}]"
         else:
             by_tick.setdefault(record.tick, []).append((route, record.amount))
             continue
@@ -351,21 +355,24 @@ def conservation_check(
     ``1e-9 * max(1, |emitted|)``, as rounding grows with the amounts moved.
     Needs the complete history of the run that produced `state`.
     """
-    if log.header.history is HistoryPolicy.NULL and log.header.steps > 0:
+    if flat.history_policy is HistoryPolicy.NULL and log.header.steps > 0:
         raise NullHistory("conservation needs the complete flow history")
     env = flat.env_by_id
-    emitters = {e.id for e in flat.edges if isinstance(env.get(e.tail), SourceNode)}
     # One pass over the records: per conserved substance, every amount and
     # the emitted ones, each in record order, which the float sums keep.
+    # An edge of a conserved substance feeds its bucket's first list, and
+    # the second too when it leaves a source.
     buckets: dict[str, tuple[list[float], list[float]]] = {
         substance: ([], []) for substance in flat.conserved
     }
-    for record in log.records:
-        bucket = buckets.get(record.substance)
+    lists: dict[str, tuple[list[float], ...]] = {}
+    for edge in flat.edges:
+        bucket = buckets.get(edge.knowledge.substance)
         if bucket is not None:
-            bucket[0].append(record.amount)
-            if record.edge in emitters:
-                bucket[1].append(record.amount)
+            lists[edge.id] = bucket if isinstance(env.get(edge.tail), SourceNode) else bucket[:1]
+    for record in log.records:
+        for amounts in lists.get(record.edge, ()):
+            amounts.append(record.amount)
     entries = []
     for substance in sorted(buckets):
         amounts, emitted_amounts = buckets[substance]
@@ -378,11 +385,8 @@ def conservation_check(
         values = chain(amounts, held_values, sunk_values)
         integral = all(map(float.is_integer, map(float, values)))
         tolerance = 0.0 if integral else 1e-9 * max(1.0, abs(emitted))
-        entries.append(
-            ConservationEntry(
-                substance, emitted, held, delivered, error, abs(error) <= tolerance
-            )
-        )
+        ok = abs(error) <= tolerance
+        entries.append(ConservationEntry(substance, emitted, held, delivered, error, ok))
     return ConservationReport(tuple(entries))
 
 
@@ -397,8 +401,7 @@ def write_log(log: HistoryLog, target: str | Path | IO[str]) -> None:
     own = isinstance(target, (str, Path))
     fp: IO[str] = open(target, "w", encoding="utf-8") if own else target
     try:
-        header = {**vars(log.header), "history": log.header.history.value}
-        fp.write(json.dumps(header) + "\n")
+        fp.write(json.dumps(vars(log.header)) + "\n")
         fp.writelines(_record_lines(log.records))
     finally:
         if own:
@@ -408,40 +411,31 @@ def write_log(log: HistoryLog, target: str | Path | IO[str]) -> None:
 def _record_lines(records: Iterable[TransitionRecord]) -> Iterator[str]:
     """``json.dumps(vars(record))`` and a newline, per record.
 
-    For an exact int tick, str edge and substance and a finite float
-    amount, json writes ``repr`` of the numbers, so such records are
-    formatted directly, quoting each distinct string once. Anything else
-    (bools, int or non-finite amounts, subclasses) goes through json.
+    For an exact int tick, a str edge and a finite float amount, json
+    writes ``repr`` of the numbers, so such records are formatted directly,
+    quoting each distinct edge once. Anything else (bools, int or
+    non-finite amounts, subclasses) goes through json.
     """
     quoted: dict[str, str] = {}
     quote, inf = json.encoder.encode_basestring_ascii, math.inf
     for record in records:
         if type(record) is TransitionRecord:
-            tick, edge, substance, amount = (
-                record.tick, record.edge, record.substance, record.amount
-            )
-            if (
-                type(tick) is int
-                and type(edge) is str
-                and type(substance) is str
-                and type(amount) is float
-                and -inf < amount < inf
-            ):
+            tick, edge, amount = record.tick, record.edge, record.amount
+            if (type(tick), type(edge), type(amount)) == (int, str, float) and -inf < amount < inf:
                 e = quoted.get(edge) or quoted.setdefault(edge, quote(edge))
-                s = quoted.get(substance) or quoted.setdefault(substance, quote(substance))
-                yield f'{{"tick": {tick!r}, "edge": {e}, "substance": {s}, "amount": {amount!r}}}\n'
+                yield f'{{"tick": {tick!r}, "edge": {e}, "amount": {amount!r}}}\n'
                 continue
         yield json.dumps(vars(record)) + "\n"
 
 
 # A record line of exactly the shape write_log gives a plain record, read
 # without json.loads: a JSON int tick, which int() reads as json does,
-# strings of printable ASCII without escapes, and an amount with a
+# an edge of printable ASCII without escapes, and an amount with a
 # fraction or an exponent, which json also reads with float(). Every other
 # line, "amount": -0 included (json reads the int 0), goes through json.
 _record_line = re.compile(
     r'\{"tick": (-?(?:0|[1-9][0-9]*)), '
-    r'"edge": "([ !#-\[\]-~]*)", "substance": "([ !#-\[\]-~]*)", '
+    r'"edge": "([ !#-\[\]-~]*)", '
     r'"amount": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}\n?'
 ).fullmatch
 
@@ -453,35 +447,24 @@ def _parse_log_lines(lines: Iterable[str], source: str) -> HistoryLog:
     try:
         for number, line in enumerate(lines, 1):
             if header is not None and (fast := _record_line(line)):
-                tick, edge, substance, amount = fast.groups()
-                records.append(TransitionRecord(int(tick), edge, substance, float(amount)))
+                tick, edge, amount = fast.groups()
+                records.append(TransitionRecord(int(tick), edge, float(amount)))
                 continue
             if not line.strip():
                 continue
             raw = json.loads(line)
+            # Exact type checks: JSON true/false load as bool, a subclass of int.
             if header is None:
-                history = HistoryPolicy(raw["history"])
-                header = LogHeader(raw["model_hash"], raw["start_tick"], raw["steps"], history)
-                # Exact type checks: JSON true/false load as bool, a subclass of int.
-                if (
-                    type(header.model_hash) is not str
-                    or type(header.start_tick) is not int
-                    or type(header.steps) is not int
-                ):
-                    raise TypeError("model_hash must be a string, start_tick and steps ints")
-                if header.start_tick < 0 or header.steps < 0:
-                    raise ValueError("start_tick and steps must be non-negative")
+                header = LogHeader(raw["model_hash"], raw["steps"])
+                if type(header.model_hash) is not str or type(header.steps) is not int:
+                    raise TypeError("model_hash must be a string, steps an int")
+                if header.steps < 0:
+                    raise ValueError("steps must be non-negative")
             else:
-                tick, amount = raw["tick"], raw["amount"]
-                edge, substance = raw["edge"], raw["substance"]
-                if (
-                    type(tick) is not int
-                    or type(edge) is not str
-                    or type(substance) is not str
-                    or type(amount) not in (float, int)
-                ):
-                    raise TypeError("tick must be an int, edge and substance str, amount a number")
-                records.append(TransitionRecord(tick, edge, substance, float(amount)))
+                tick, edge, amount = raw["tick"], raw["edge"], raw["amount"]
+                if (type(tick), type(edge)) != (int, str) or type(amount) not in (float, int):
+                    raise TypeError("tick must be an int, edge a str, amount a number")
+                records.append(TransitionRecord(tick, edge, float(amount)))
     except KeyError as exc:
         raise InconsistentState(f"{source}: line {number} lacks the key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -96,7 +96,7 @@ def test_simulate_three_ticks_with_log(tmp_path, capsys):
     assert payload["sink_received"]["M"]["grain"] == 3.0
     lines = log_path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["steps"] == 3 and header["history"] == "record"
+    assert list(header) == ["model_hash", "steps"] and header["steps"] == 3
     assert len(lines) == 1 + 6
 
 
@@ -180,6 +180,30 @@ def test_analyze_weak_refuses_a_bad_threshold_with_one_line(threshold, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "threshold must be a finite non-negative number" in captured.err
+
+
+@pytest.mark.parametrize("metric", ["linkages", "governance", "reachability", "value_added"])
+def test_analyze_refuses_a_threshold_outside_weak(metric, capsys):
+    code = main(["analyze", DEMO, "--metric", metric, "--threshold", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "--threshold applies only to --metric weak\n"
+
+
+def test_analyze_weak_threshold_defaults_to_zero(capsys):
+    assert main(["analyze", DEMO, "--metric", "weak"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 0.0
+
+
+def test_simulate_overflow_ends_in_one_error_line(tmp_path, capsys):
+    log_path = tmp_path / "out.jsonl"
+    code = main(["simulate", str(FIXTURES / "overflow.vcs"), "--steps", "3", "--log", str(log_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: tick 1: stock ('P#1', 'grain') overflowed to inf\n"
+    assert not log_path.exists()
 
 
 def test_flatten_json_reproduces_golden_flat_graph(capsys):

@@ -315,6 +315,32 @@ def test_validate_rule_reports_exact_path_and_message(rule):
         flatten(spec)
 
 
+def test_validate_reports_names_the_text_format_cannot_hold():
+    """Every name must be an SDL identifier, reported where it is declared."""
+    spec = make_system(
+        "odd",
+        components=[ComponentDecl("a b", Atomic(Role.PRODUCER, 0), 2, (("x-1", 2),))],
+        env=[SourceNode("S", 1, 'gr"ain'), SinkNode('M"q', Scope.LOCAL)],
+        edges=[
+            Edge("e_in", "S", "a b", EdgeKnowledge(1, 'gr"ain')),
+            Edge("e.out", "a b", 'M"q', EdgeKnowledge(1, "grain")),
+        ],
+        boundary=BoundarySpec(conserved_substances=frozenset({'gr"ain', "grain", 7})),
+    )
+    assert [(v.path, v.message) for v in validate(spec)] == [
+        ("odd/a b", "component type 'a b' is not an identifier"),
+        ("odd/a b", "variation label 'x-1' is not an identifier"),
+        ('odd/env/M"q', "environment node 'M\"q' is not an identifier"),
+        ("odd/env/S", "substance 'gr\"ain' is not an identifier"),
+        ("odd/boundary", "boundary name 'gr\"ain' is not an identifier"),
+        ("odd/boundary", "boundary name 7 is not an identifier"),
+        ("odd/edges/e.out", "edge id 'e.out' is not an identifier"),
+        ("odd/knowledge/e_in", "substance 'gr\"ain' is not an identifier"),
+    ]
+    with pytest.raises(InvalidSpec):
+        flatten(spec)
+
+
 # --- depth & navigation -----------------------------------------------------
 
 def test_depth_base_and_single_nesting():

@@ -32,6 +32,7 @@ from vcsys import (
     SinkNode,
     SourceNode,
     TransitionRecord,
+    VcsysError,
     conservation_check,
     flatten,
     init_state,
@@ -251,7 +252,6 @@ def test_run_null_history_same_state_no_records():
     assert state_n.stocks == state_r.stocks
     assert state_n.sink_received == state_r.sink_received
     assert log_n.records == ()
-    assert log_n.header.history is HistoryPolicy.NULL
     assert len(log_r.records) == 6
 
 
@@ -314,11 +314,14 @@ def test_replay_rejects_other_model():
 
 
 def test_replay_corrupt_amount_raises_negative_stock():
-    flat = flatten(demo_chain_spec())
+    flat = flatten(demo_chain_spec(caps=(4, 3, 9)))
     _, log = run(flat, 3)
     corrupt = list(log.records)
-    victim = next(i for i, r in enumerate(corrupt) if r.edge == "e_pt#1")
-    corrupt[victim] = dataclasses.replace(corrupt[victim], amount=corrupt[victim].amount * 10)
+    # T holds 3 when e_tm#1 first moves it, and gains 3 in that tick; its
+    # full capacity of 9, within bounds, overdraws T.
+    victim = next(i for i, r in enumerate(corrupt) if r.edge == "e_tm#1")
+    assert corrupt[victim].amount == 3.0
+    corrupt[victim] = dataclasses.replace(corrupt[victim], amount=9.0)
     bad_log = dataclasses.replace(log, records=tuple(corrupt))
     with pytest.raises(NegativeStock):
         replay(flat, bad_log)
@@ -356,11 +359,11 @@ def test_replay_through_log_file(tmp_path):
         {"amount": math.nan},
         {"amount": math.inf},
         {"amount": 0.0},
-        {"substance": "milk"},
+        {"amount": 3.5},
         {"tick": 99},
         {"tick": -1},
     ],
-    ids=["nan_amount", "inf_amount", "zero_amount", "wrong_substance", "tick_after", "tick_before"],
+    ids=["nan_amount", "inf_amount", "zero_amount", "over_capacity", "tick_after", "tick_before"],
 )
 def test_replay_rejects_forged_record(forged):
     flat = flatten(demo_chain_spec())
@@ -374,30 +377,71 @@ def test_replay_rejects_forged_record(forged):
         replay(flat, bad_log)
 
 
-LOG_HEADER = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "record"}'
-RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
+def test_replay_rejects_a_source_flow_over_capacity():
+    flat = flatten(demo_chain_spec())
+    _, log = run(flat, 3)
+    assert log.records[0] == TransitionRecord(0, "e_sp#1", 4.0)
+    forged = (TransitionRecord(0, "e_sp#1", 1000.0),) + log.records[1:]
+    with pytest.raises(InconsistentState, match=r"tick 0 on edge 'e_sp#1' has amount 1000\.0"):
+        replay(flat, dataclasses.replace(log, records=forged))
+
+
+def overflow_spec(sink=False):
+    """A source of rate and capacity 1e308 into P, and on to a market."""
+    edges = [Edge("e_sp", "S", "P", EdgeKnowledge(1e308, "grain"))]
+    env = [SourceNode("S", 1e308, "grain")]
+    if sink:
+        edges.append(Edge("e_pm", "P", "M", EdgeKnowledge(1e308, "grain")))
+        env.append(SinkNode("M", Scope.LOCAL))
+    return make_system(
+        "overflow",
+        components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
+        env=env,
+        edges=edges,
+    )
+
+
+def test_run_refuses_a_stock_that_overflows():
+    flat = flatten(overflow_spec())
+    state, _ = run(flat, 1)
+    assert state.stocks == {("P#1", "grain"): 1e308}
+    with pytest.raises(VcsysError, match=r"^tick 1: stock \('P#1', 'grain'\) overflowed to inf$"):
+        run(flat, 3)
+    with pytest.raises(VcsysError, match=r"^tick 1: stock"):
+        step(state, flat)
+
+
+def test_run_refuses_a_delivery_counter_that_overflows():
+    flat = flatten(overflow_spec(sink=True))
+    with pytest.raises(VcsysError, match=r"^tick 2: delivery counter \('M', 'grain'\)"):
+        run(flat, 5)
+
+
+LOG_HEADER = '{"model_hash": "h", "steps": 1}'
+RECORD = '{"tick": 0, "edge": "e_sp#1", "amount": 4.0}\n'
+
+
+def test_record_constant_takes_the_fast_path():
+    assert sim._record_line(RECORD).groups() == ("0", "e_sp#1", "4.0")
 
 
 @pytest.mark.parametrize(
     "text, line",
     [
-        ('{"model_hash": "h", "steps": 1, "history": "record"}\n', 1),
-        (LOG_HEADER + '\n{"tick": 0, "edge": "e_sp#1", "amount": 4.0}\n', 2),
+        ('{"model_hash": "h"}\n', 1),
+        (LOG_HEADER + '\n{"tick": 0, "edge": "e_sp#1"}\n', 2),
         (LOG_HEADER + '\n\n{"tick": 0, "edge": \n', 3),
         (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": "0"'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": 0.5'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('"tick": 0', '"tick": true'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('"e_sp#1"', '[1]'), 2),
-        (LOG_HEADER + '\n' + RECORD.replace('"grain"', '3'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('4.0', 'true'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('4.0', '"4.0"'), 2),
         (LOG_HEADER + '\n' + RECORD.replace('4.0', '1' + '0' * 400), 2),
-        (LOG_HEADER.replace('"start_tick": 0', '"start_tick": "0"') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": "1"') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": 2.5') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": false') + '\n', 1),
         (LOG_HEADER.replace('"h"', 'null') + '\n', 1),
-        (LOG_HEADER.replace('"start_tick": 0', '"start_tick": -1') + '\n', 1),
         (LOG_HEADER.replace('"steps": 1', '"steps": -3') + '\n', 1),
     ],
     ids=[
@@ -408,16 +452,13 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "substance": "grain", "amount": 4.0}\n'
         "float_tick",
         "bool_tick",
         "list_edge",
-        "int_substance",
         "bool_amount",
         "string_amount",
         "huge_int_amount",
-        "string_start_tick",
         "string_steps",
         "float_steps",
         "bool_steps",
         "null_model_hash",
-        "negative_start_tick",
         "negative_steps",
     ],
 )
@@ -437,6 +478,16 @@ def test_write_log_reproduces_golden_log(tmp_path):
     path = tmp_path / "demo.jsonl"
     write_log(log, path)
     assert path.read_bytes() == (FIXTURES / "demo.steps20.jsonl").read_bytes()
+
+
+def test_log_in_the_earlier_format_reads_and_replays():
+    """Records that also name their substance, and a header that also
+    names a start tick and the history policy, still read and replay."""
+    flat = flatten(parse((FIXTURES / "demo.vcs").read_text(encoding="utf-8")).root)
+    state, log = run(flat, 20)
+    old = read_log(FIXTURES / "demo.steps20.old.jsonl")
+    assert old == log
+    assert replay(flat, old) == state
 
 
 class _Str(str):
@@ -470,18 +521,18 @@ _log_amounts = st.one_of(
 )
 _log_ticks = st.one_of(st.integers(), st.booleans(), st.builds(_Int, st.integers()))
 _log_records = st.one_of(
-    st.builds(TransitionRecord, _log_ticks, _log_strings, _log_strings, _log_amounts),
-    st.builds(_NotedRecord, _log_ticks, _log_strings, _log_strings, _log_amounts),
+    st.builds(TransitionRecord, _log_ticks, _log_strings, _log_amounts),
+    st.builds(_NotedRecord, _log_ticks, _log_strings, _log_amounts),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_log_records, max_size=8))
 def test_write_log_matches_json_dumps_per_record(records):
-    log = HistoryLog(LogHeader("h", 0, 1, HistoryPolicy.RECORD), tuple(records))
+    log = HistoryLog(LogHeader("h", 1), tuple(records))
     buffer = io.StringIO()
     write_log(log, buffer)
-    header = '{"model_hash": "h", "start_tick": 0, "steps": 1, "history": "record"}\n'
+    header = '{"model_hash": "h", "steps": 1}\n'
     assert buffer.getvalue() == header + "".join(json.dumps(vars(r)) + "\n" for r in records)
 
 
@@ -534,7 +585,7 @@ def _with_amount(amount):
         (RECORD.replace('"e_sp#1"', '"eé"'), "edge='eé'"),
         (RECORD.replace('"e_sp#1"', r'"e\u00e9"'), "edge='eé'"),
         (RECORD.replace('"e_sp#1"', '"e\tx"'), "line 2 is malformed"),
-        ('{"edge": "e_sp#1", "tick": 0, "amount": 4.0, "substance": "grain"}\n', "amount=4.0)"),
+        ('{"edge": "e_sp#1", "amount": 4.0, "tick": 0}\n', "amount=4.0)"),
         (_with_tick("9" * 5000), "line 2 is malformed"),
         (_with_tick("-0"), "tick=0,"),
         (RECORD.replace(", ", ",").replace(": ", ":"), "amount=4.0)"),
