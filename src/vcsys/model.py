@@ -26,11 +26,12 @@ order, and so that downstream output is deterministic.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -351,12 +352,30 @@ def _is_quantity(value: float) -> bool:
 _identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 
-# The last description validated, with its depth limit and report, so that
-# flatten(parse(text).root) validates the root once. Descriptions are
-# immutable, so identity is a safe key; it is compared with ``is`` because
-# ==, hash and repr recurse through the whole tree. The reference is weak,
-# so the cache keeps no description alive.
-_last_report: tuple[weakref.ref[SystemSpec], int, ValidationReport] | None = None
+def _last_call(fn: Callable) -> Callable:
+    """Remember ``fn(obj, *args)`` for the last, immutable object it saw.
+
+    The object is matched by identity, as == and hash recurse through whole
+    trees, and held weakly, so its result goes with it. A call reads the
+    slot once and replaces it whole, so threads never see half an entry.
+    """
+    slot: tuple[weakref.ref, tuple, object] | None = None
+
+    def forget(ref: weakref.ref) -> None:
+        nonlocal slot
+        if (last := slot) is not None and last[0] is ref:
+            slot = None
+
+    @functools.wraps(fn, updated=())
+    def cached(obj, *args):
+        nonlocal slot
+        if (last := slot) is not None and last[0]() is obj and last[1] == args:
+            return last[2]
+        result = fn(obj, *args)
+        slot = (weakref.ref(obj, forget), args, result)
+        return result
+
+    return cached
 
 
 def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> ValidationReport:
@@ -371,16 +390,15 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     binding edge inside is used so by the enclosing level.
     Arbitrary candidate descriptions are accepted; nothing raises.
     """
-    global _last_report
-    last = _last_report
-    if last is not None and last[0]() is spec and last[1] == max_depth:
-        return last[2]
+    return _report(spec, max_depth)
+
+
+@_last_call  # so that flatten(parse(text).root) validates the root once
+def _report(spec: SystemSpec, max_depth: int) -> ValidationReport:
     out: list[Violation] = []
     env_seen: dict[str, tuple[str, EnvNode]] = {}
     _validate_level(spec, spec.id, 0, max_depth, None, None, env_seen, out)
-    report = ValidationReport(tuple(out))
-    _last_report = (weakref.ref(spec), max_depth, report)
-    return report
+    return ValidationReport(tuple(out))
 
 
 def _validate_level(

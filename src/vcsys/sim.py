@@ -15,8 +15,13 @@ was declared with a null history policy, in which case the trajectory is
 identical but nothing is remembered. A record names a tick, an edge and
 an amount; a log's header names the model by its hash, which pins down
 everything else, and the number of ticks. A history replays against its
-model to the final state bit for bit. A tick that leaves a stock or a
-delivery counter non-finite raises :class:`VcsysError`.
+model to the final state bit for bit. After each tick of a run or a
+replay, a stock or delivery counter that is not finite raises
+:class:`VcsysError` and a stock below zero :class:`NegativeStock`;
+``step`` refuses a state that no run can reach.
+
+Every entry point reads one plan of a graph's edges, and the graph's hash
+is computed once: both are kept for the last graph seen and dropped with it.
 
 Each log line is exactly ``json.dumps`` of the header's or the record's
 fields with its defaults: keys in field order, ``", "`` and ``": "`` as
@@ -40,7 +45,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from .export import flat_graph_json
 from .flatten import FlatGraph
-from .model import HistoryPolicy, SinkNode, SourceNode, VcsysError
+from .model import HistoryPolicy, SinkNode, SourceNode, VcsysError, _last_call
 
 __all__ = [
     "InconsistentState",
@@ -112,6 +117,7 @@ class SimulationState:
     sink_received: dict[tuple[str, str], float]
 
 
+@_last_call
 def model_hash(flat: FlatGraph) -> str:
     """Stable content hash of a flattened graph."""
     payload = json.dumps(flat_graph_json(flat), sort_keys=True, separators=(",", ":"))
@@ -122,6 +128,7 @@ class _Route(NamedTuple):
     """Where a flow along one edge goes; a key is None where no stock is kept."""
 
     id: str
+    substance: str
     capacity: float
     draw: tuple[str, str] | None  # the actor stock it empties
     fill: tuple[str, str] | None  # the actor stock it fills
@@ -151,6 +158,7 @@ class _Plan:
             tail_env, head_env = env.get(edge.tail), env.get(edge.head)
             route = self.routes[edge.id] = _Route(
                 edge.id,
+                substance,
                 capacity,
                 (edge.tail, substance) if edge.tail in internal else None,
                 (edge.head, substance) if edge.head in internal else None,
@@ -181,6 +189,9 @@ class _Plan:
         return SimulationState(0, stocks, received)
 
 
+_plan = _last_call(_Plan)  # one plan per graph, for every entry point
+
+
 def _by_id(flow: _Flow) -> str:
     return flow[0].id
 
@@ -191,7 +202,7 @@ def init_state(flat: FlatGraph) -> SimulationState:
     Keys exist for each (node, substance) combination an incident edge can
     touch, so states from a run and from a replay carry identical key sets.
     """
-    return _Plan(flat).zero_state()
+    return _plan(flat).zero_state()
 
 
 def _ration(pool: float, group: list[_Flow], total: float, integral: bool) -> list[_Flow]:
@@ -240,13 +251,20 @@ def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks, tick: int) -> list[_F
             flows.extend(_ration(pool, group, wanted, integral))
     flows.sort(key=_by_id)
     _apply(flows, stocks, received)
-    # One sum per table catches any inf or nan; only then is each value read.
+    _check_tick(stocks, received, tick)
+    return flows
+
+
+def _check_tick(stocks: _Stocks, received: _Stocks, tick: int) -> None:
+    """Refuse the state a tick left: a value not finite, or one below zero."""
+    # A sum and a min per table catch any inf, nan or negative; only then is each value read.
     for what, table in (("stock", stocks), ("delivery counter", received)):
-        if not math.isfinite(sum(table.values())):
+        if not math.isfinite(sum(table.values())) or min(table.values(), default=0.0) < 0:
             for key, value in table.items():
                 if not math.isfinite(value):
                     raise VcsysError(f"tick {tick}: {what} {key} overflowed to {value}")
-    return flows
+                if value < 0:
+                    raise NegativeStock(f"tick {tick}: {what} {key} fell to {value}")
 
 
 def step(
@@ -256,18 +274,29 @@ def step(
 
     A stock key the state lacks counts as zero.
     """
-    plan = _Plan(flat)
-    for node, _ in state.stocks:
+    stocks = _float_copy("stock", state.stocks)
+    received = _float_copy("delivery counter", state.sink_received)
+    for node, _ in stocks:
         if node not in flat.nodes_by_id:
             raise InconsistentState(f"stocked node {node!r} is not in the model")
-    for sink, _ in state.sink_received:
+    for sink, _ in received:
         if not isinstance(flat.env_by_id.get(sink), SinkNode):
             raise InconsistentState(f"delivery counter {sink!r} is not a sink")
-    stocks = dict(state.stocks)
-    received = dict(state.sink_received)
-    flows = _tick(plan, stocks, received, state.tick)
+    flows = _tick(_plan(flat), stocks, received, state.tick)
     records = [TransitionRecord(state.tick, r.id, a) for r, a in flows]
     return SimulationState(state.tick + 1, stocks, received), records
+
+
+def _float_copy(what: str, table: _Stocks) -> _Stocks:
+    """A state's table with float values, or InconsistentState naming a key
+    that is not a (node, substance) pair or whose value is not a finite
+    non-negative number."""
+    for key, value in table.items():
+        if type(key) is not tuple or len(key) != 2:
+            raise InconsistentState(f"{what} key {key!r} is not a (node, substance) pair")
+        if type(value) not in (int, float) or not 0 <= value < math.inf:
+            raise InconsistentState(f"{what} {key} is {value!r}, not a finite quantity >= 0")
+    return {key: float(value) for key, value in table.items()}
 
 
 def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
@@ -277,9 +306,9 @@ def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
     stays empty. Raises :class:`VcsysError` on the first tick after which
     a stock or a delivery counter is no longer finite.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    plan = _Plan(flat)
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps must be non-negative and an int, got {steps!r}")
+    plan = _plan(flat)
     state = plan.zero_state()
     collected: list[TransitionRecord] = []
     recording = flat.history_policy is HistoryPolicy.RECORD
@@ -301,7 +330,7 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
         raise HashMismatch("history was recorded against a different model")
     if flat.history_policy is HistoryPolicy.NULL:
         raise NullHistory("a null history has no records to replay")
-    plan = _Plan(flat)
+    plan = _plan(flat)
     end = log.header.steps
     by_tick: dict[int, list[_Flow]] = {}
     for record in log.records:
@@ -319,11 +348,7 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
     state = plan.zero_state()
     for tick in sorted(by_tick):
         _apply(by_tick[tick], state.stocks, state.sink_received)
-        for key, value in state.stocks.items():
-            if value < 0:
-                raise NegativeStock(
-                    f"stock {key} fell to {value} at tick {tick}; corrupt history"
-                )
+        _check_tick(state.stocks, state.sink_received, tick)
     return replace(state, tick=end)
 
 
@@ -357,19 +382,20 @@ def conservation_check(
     """
     if flat.history_policy is HistoryPolicy.NULL and log.header.steps > 0:
         raise NullHistory("conservation needs the complete flow history")
-    env = flat.env_by_id
+    plan = _plan(flat)
+    emitting = {route.id for route, _ in plan.sources}
     # One pass over the records: per conserved substance, every amount and
     # the emitted ones, each in record order, which the float sums keep.
     # An edge of a conserved substance feeds its bucket's first list, and
-    # the second too when it leaves a source.
+    # the second too when it carries a source flow.
     buckets: dict[str, tuple[list[float], list[float]]] = {
         substance: ([], []) for substance in flat.conserved
     }
     lists: dict[str, tuple[list[float], ...]] = {}
-    for edge in flat.edges:
-        bucket = buckets.get(edge.knowledge.substance)
+    for route in plan.routes.values():
+        bucket = buckets.get(route.substance)
         if bucket is not None:
-            lists[edge.id] = bucket if isinstance(env.get(edge.tail), SourceNode) else bucket[:1]
+            lists[route.id] = bucket if route.id in emitting else bucket[:1]
     for record in log.records:
         for amounts in lists.get(record.edge, ()):
             amounts.append(record.amount)

@@ -2,10 +2,14 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +41,7 @@ from vcsys import (
     flatten,
     init_state,
     make_system,
+    model_hash,
     parse,
     read_log,
     replay,
@@ -201,6 +206,32 @@ def test_step_rejects_delivery_counter_off_a_sink(counter):
         step(state, flat)
 
 
+@pytest.mark.parametrize(
+    "stocks, received, message",
+    [
+        ({("P#1", "grain"): -5.0}, {}, r"stock \('P#1', 'grain'\) is -5\.0"),
+        ({"P#1": 1.0}, {}, r"stock key 'P#1' is not a \(node, substance\) pair"),
+        ({("P#1", "grain"): "3"}, {}, r"stock \('P#1', 'grain'\) is '3'"),
+        ({("P#1", "grain"): math.nan}, {}, r"stock \('P#1', 'grain'\) is nan"),
+        ({("P#1", "grain"): True}, {}, r"stock \('P#1', 'grain'\) is True"),
+        ({}, {("M", "grain"): math.inf}, r"delivery counter \('M', 'grain'\) is inf"),
+        ({}, {("M",): 1.0}, r"delivery counter key \('M',\) is not a \(node, substance\) pair"),
+    ],
+    ids=["negative", "bare_node", "string", "nan", "bool", "inf_counter", "short_key"],
+)
+def test_step_rejects_a_malformed_state(stocks, received, message):
+    flat = flatten(demo_chain_spec())
+    with pytest.raises(InconsistentState, match=f"^{message}"):
+        step(SimulationState(0, stocks, received), flat)
+
+
+def test_step_reads_whole_number_stocks_as_floats():
+    flat = flatten(contention_spec())
+    state, records = step(SimulationState(0, {("P#1", "grain"): 3}, {}), flat)
+    assert (state, records) == step(SimulationState(0, {("P#1", "grain"): 3.0}, {}), flat)
+    assert all(type(value) is float for value in state.stocks.values())
+
+
 def test_thirty_steps_reach_runs_final_state():
     flat = flatten(random_flow_model(random.Random(83), integer_caps=False))
     state, final = init_state(flat), run(flat, 30)[0]
@@ -222,6 +253,12 @@ def test_run_zero_steps_is_identity():
 def test_run_rejects_negative_steps():
     with pytest.raises(ValueError, match="steps must be non-negative"):
         run(flatten(demo_chain_spec()), -1)
+
+
+@pytest.mark.parametrize("steps", [True, 2.0, "3", None], ids=["bool", "float", "str", "none"])
+def test_run_rejects_steps_that_are_not_ints(steps):
+    with pytest.raises(ValueError, match="steps must be non-negative and an int"):
+        run(flatten(demo_chain_spec()), steps)
 
 
 def test_run_demo_chain_three_ticks():
@@ -415,6 +452,72 @@ def test_run_refuses_a_delivery_counter_that_overflows():
     flat = flatten(overflow_spec(sink=True))
     with pytest.raises(VcsysError, match=r"^tick 2: delivery counter \('M', 'grain'\)"):
         run(flat, 5)
+
+
+def test_replay_refuses_a_log_that_overflows_a_stock():
+    flat = flatten(overflow_spec())
+    records = (TransitionRecord(0, "e_sp#1", 1e308), TransitionRecord(1, "e_sp#1", 1e308))
+    forged = HistoryLog(LogHeader(model_hash(flat), 2), records)
+    with pytest.raises(VcsysError, match=r"^tick 1: stock \('P#1', 'grain'\) overflowed to inf$"):
+        replay(flat, forged)
+
+
+# --- one plan per graph -----------------------------------------------------
+
+def test_one_plan_and_one_hash_per_graph(monkeypatch):
+    built, hashed = [], []
+    build, graph_json = sim._Plan.__init__, sim.flat_graph_json
+    monkeypatch.setattr(sim._Plan, "__init__", lambda plan, g: built.append(g) or build(plan, g))
+    monkeypatch.setattr(sim, "flat_graph_json", lambda g: hashed.append(g) or graph_json(g))
+    flat = flatten(demo_chain_spec())
+    state = init_state(flat)
+    for _ in range(30):
+        state, _ = step(state, flat)
+    final, log = run(flat, 30)
+    assert replay(flat, log) == final == state
+    assert conservation_check(flat, final, log).ok
+    assert len(built) == 1 and built[0] is flat
+    assert len(hashed) == 1 and hashed[0] is flat
+
+
+def test_the_cache_keeps_no_graph_alive(monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    spec = demo_chain_spec()
+    first, second = flatten(spec), flatten(contention_spec())
+    for flat in (first, second):
+        state, log = run(flat, 3)
+        conservation_check(flat, replay(flat, log), log)
+    refs = [weakref.ref(obj) for obj in (spec, first, second, sim._plan(second))]
+    del flat, spec, first
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False, False]
+    del second
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, True, True]
+    assert unraisable == []
+
+
+def test_threads_interleaving_graphs_match_a_sequential_run():
+    rng = random.Random(89)
+    flats = [flatten(random_flow_model(rng, integer_caps=i % 2 == 0)) for i in range(4)]
+
+    def work(flat):
+        state, log = run(flat, 15)
+        stepped = init_state(flat)
+        for _ in range(15):
+            stepped, _ = step(stepped, flat)
+        return state, log, stepped, replay(flat, log), conservation_check(flat, state, log)
+
+    expected = [work(flat) for flat in flats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, flats * 6, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 6
 
 
 LOG_HEADER = '{"model_hash": "h", "steps": 1}'
