@@ -153,8 +153,8 @@ def _cmd_inspect(args: argparse.Namespace, max_depth: int) -> int:
             }
             for comp in spec.components
         ],
-        "edges": len(spec.network) + len(spec.interface.edges),
-        "env_nodes": len(spec.interface.env_nodes),
+        "edges": len(spec.edges),
+        "env_nodes": len(spec.env_nodes),
         "flat": {
             "nodes": len(flat.nodes),
             "edges": len(flat.edges),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from typing import Any
 
 from .flatten import FlatGraph
@@ -12,6 +11,8 @@ from .model import (
     SinkNode,
     SourceNode,
     SystemSpec,
+    _env_end,
+    _identifier,
 )
 from .sdl import fmt_qty
 
@@ -40,12 +41,19 @@ def _boundary_json(boundary: BoundarySpec) -> dict[str, Any]:
 
 
 def export_json(spec: SystemSpec) -> dict[str, Any]:
-    """Mirror a description field-for-field as a JSON-ready document.
+    """Mirror a description as a JSON-ready document.
 
-    Key order is fixed and every list is sorted by id, so distinct
-    descriptions produce distinct documents and equal ones identical
-    documents.
+    Each level's edges go under "network" or "interface" by their
+    endpoints. Key order is fixed and every list is sorted by id, so
+    distinct descriptions produce distinct documents and equal ones
+    identical documents.
     """
+    env_ids = {n.id for n in spec.env_nodes}
+    network: list[dict[str, str]] = []
+    interface: list[dict[str, str]] = []
+    for e in spec.edges:
+        side = network if _env_end(e, env_ids) is None else interface
+        side.append({"id": e.id, "tail": e.tail, "head": e.head})
     components = []
     for comp in spec.components:
         entry: dict[str, Any] = {
@@ -66,17 +74,11 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
         "components": components,
         "network": {
             "nodes": [comp.type_id for comp in spec.components],
-            "edges": [
-                {"id": e.id, "tail": e.tail, "head": e.head}
-                for e in spec.network
-            ],
+            "edges": network,
         },
         "interface": {
-            "env_nodes": [_env_json(n) for n in spec.interface.env_nodes],
-            "edges": [
-                {"id": e.id, "tail": e.tail, "head": e.head}
-                for e in spec.interface.edges
-            ],
+            "env_nodes": [_env_json(n) for n in spec.env_nodes],
+            "edges": interface,
         },
         "boundary": _boundary_json(spec.boundary),
         "knowledge": [
@@ -86,7 +88,7 @@ def export_json(spec: SystemSpec) -> dict[str, Any]:
                 "capacity": e.knowledge.capacity,
                 "strength": e.knowledge.strength,
             }
-            for e in spec.all_edges()
+            for e in spec.edges
         ],
         "history_policy": spec.history_policy.value,
     }
@@ -123,11 +125,12 @@ def flat_graph_json(flat: FlatGraph) -> dict[str, Any]:
     }
 
 
-_BARE_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# DOT reads these keywords in any case, so an id spelled like one is quoted.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 def _dot_id(name: str) -> str:
-    if _BARE_ID.match(name):
+    if _identifier(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -21,9 +21,11 @@ expansion itself never meets a malformed description.
 Edges multiply out as the Cartesian product of their endpoints'
 instances; an expanded edge is an :class:`vcsys.model.Edge` numbered
 ``edgeid#k`` the same way nodes are, between instance ids, carrying the
-flow attributes of the edge it expands. Everything is deterministic: two
-calls on the same description produce identical graphs, ordering
-included.
+flow attributes of the edge it expands. A level's edges are one tuple;
+each is read as network or interface from its endpoints, and a level
+expands its network edges before its interface edges, each in id order.
+Everything is deterministic: two calls on the same description produce
+identical graphs, ordering included.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .model import (
     InvalidSpec,
     Role,
     SystemSpec,
+    _env_end,
     split_endpoint,
     validate,
 )
@@ -125,7 +128,7 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
         return labels
 
     def expand(s: SystemSpec, path: tuple[str, ...], is_root: bool) -> _Ports:
-        env_nodes = {n.id: n for n in s.interface.env_nodes}
+        env_nodes = {n.id: n for n in s.env_nodes}
         atoms: dict[str, list[str]] = {}
         subs: dict[str, list[_Ports]] = {}
 
@@ -159,28 +162,29 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
 
         ports: _Ports = {}
 
-        for edge in s.network:
-            tails = resolve(edge.tail, "tail")
-            heads = resolve(edge.head, "head")
-            for tail in tails:
-                for head in heads:
-                    emit_edge(edge, tail, head)
-
-        for edge in s.interface.edges:
-            tail_base, _ = split_endpoint(edge.tail)
-            head_base, _ = split_endpoint(edge.head)
-            env_id = tail_base if tail_base in env_nodes else head_base
+        # Network edges go before interface edges, each in id order: the
+        # order fixes the flat graph and with it the model hash.
+        classified = sorted(
+            ((_env_end(e, env_nodes), e) for e in s.edges), key=lambda c: c[0] is not None
+        )
+        for env_id, edge in classified:
+            if env_id is None:
+                heads = resolve(edge.head, "head")
+                for tail in resolve(edge.tail, "tail"):
+                    for head in heads:
+                        emit_edge(edge, tail, head)
+                continue
             env_node = env_nodes[env_id]
             if isinstance(env_node, EntityNode) and not is_root:
                 # Exported port: remember what stands behind it, emit nothing.
                 binding = ports.setdefault(env_id, {"tail": [], "head": []})
-                if head_base == env_id:
+                if edge.head == env_id:
                     binding["tail"].extend(resolve(edge.tail, "tail"))
                 else:
                     binding["head"].extend(resolve(edge.head, "head"))
                 continue
             env_seen.setdefault(env_id, env_node)
-            if tail_base == env_id:
+            if edge.tail == env_id:
                 for head in resolve(edge.head, "head"):
                     emit_edge(edge, env_id, head)
             else:
@@ -189,7 +193,7 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
 
         # Declared environment objects survive flattening even without
         # edges; only bound ports splice away.
-        for node in s.interface.env_nodes:
+        for node in s.env_nodes:
             if not (isinstance(node, EntityNode) and node.id in ports):
                 env_seen.setdefault(node.id, node)
 

@@ -5,9 +5,10 @@ internal connection network (the level's edges among its components),
 the interface to the surrounding environment, the boundary conditions
 that keep the system's identity, per-connection flow attributes (what
 the system knows about its own interactions), and a history policy
-saying whether simulation runs keep a transition record. The flow
-attributes have no table of their own: each :class:`Edge` carries its
-:class:`EdgeKnowledge`, here and in the flattened graph alike.
+saying whether simulation runs keep a transition record. Network and
+interface share one edge tuple: an edge's endpoints say which it is in.
+The flow attributes have no table of their own: each :class:`Edge`
+carries its :class:`EdgeKnowledge`, here and in the flattened graph alike.
 
 Descriptions nest. A component is either atomic (a chain actor with a role
 and a tier position) or a whole subsystem one level further down, and the
@@ -31,7 +32,8 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from operator import attrgetter
+from typing import Callable, Container, Iterable, Union
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -158,22 +160,14 @@ def split_endpoint(ref: str) -> tuple[str, str | None]:
     return (base, port) if dot else (ref, None)
 
 
-def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(edges, key=lambda e: e.id))
-
-
-@dataclass(frozen=True)
-class InterfaceGraph:
-    """Connections between components and the environment at one level."""
-
-    env_nodes: tuple[EnvNode, ...] = ()
-    edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "env_nodes", tuple(sorted(self.env_nodes, key=lambda n: n.id))
-        )
-        object.__setattr__(self, "edges", _sorted_edges(self.edges))
+def _env_end(edge: Edge, env_ids: Container[str]) -> str | None:
+    """The environment node an edge touches, which makes it an interface
+    edge, or None for an edge of the network among the components."""
+    for ref in (edge.tail, edge.head):
+        base, _ = split_endpoint(ref)
+        if base in env_ids:
+            return base
+    return None
 
 
 @dataclass(frozen=True)
@@ -237,35 +231,29 @@ class ComponentDecl:
 class SystemSpec:
     """A complete system description at one nesting level.
 
-    ``network`` holds the edges among the level's components, sorted by
-    id; its nodes are the components themselves.
+    ``edges`` and ``env_nodes`` hold all the level's edges and environment
+    nodes, sorted by id. An edge with an environment endpoint is part of
+    the interface; any other wires the network among the components.
     """
 
     id: str
     level: int = 0
     components: tuple[ComponentDecl, ...] = ()
-    network: tuple[Edge, ...] = ()
-    interface: InterfaceGraph = InterfaceGraph()
+    edges: tuple[Edge, ...] = ()
+    env_nodes: tuple[EnvNode, ...] = ()
     boundary: BoundarySpec = BoundarySpec()
     history_policy: HistoryPolicy = HistoryPolicy.RECORD
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "components",
-            tuple(sorted(self.components, key=lambda c: c.type_id)),
-        )
-        object.__setattr__(self, "network", _sorted_edges(self.network))
+        for field, key in (("components", "type_id"), ("edges", "id"), ("env_nodes", "id")):
+            items = getattr(self, field)
+            object.__setattr__(self, field, tuple(sorted(items, key=attrgetter(key))))
 
     def component(self, type_id: str) -> ComponentDecl | None:
         for comp in self.components:
             if comp.type_id == type_id:
                 return comp
         return None
-
-    def all_edges(self) -> tuple[Edge, ...]:
-        """Network and interface edges together, sorted by id."""
-        return _sorted_edges(self.network + self.interface.edges)
 
 
 def make_system(
@@ -278,34 +266,12 @@ def make_system(
     boundary: BoundarySpec = BoundarySpec(),
     history: HistoryPolicy = HistoryPolicy.RECORD,
 ) -> SystemSpec:
-    """Assemble a SystemSpec from flat parts.
+    """Assemble a SystemSpec from any iterables of its parts.
 
-    Splits the given edges into the internal network and the environment
-    interface by looking at their endpoints. This is the convenient way to
-    build descriptions in code; the dataclass constructors stay available
-    for exotic cases.
+    This is the convenient way to build descriptions in code; the
+    dataclass constructor stays available for exotic cases.
     """
-    components = tuple(components)
-    env = tuple(env)
-    env_ids = {n.id for n in env}
-    internal: list[Edge] = []
-    boundary_edges: list[Edge] = []
-    for edge in edges:
-        tail_base, _ = split_endpoint(edge.tail)
-        head_base, _ = split_endpoint(edge.head)
-        if tail_base in env_ids or head_base in env_ids:
-            boundary_edges.append(edge)
-        else:
-            internal.append(edge)
-    return SystemSpec(
-        id=id,
-        level=level,
-        components=components,
-        network=tuple(internal),
-        interface=InterfaceGraph(env_nodes=env, edges=tuple(boundary_edges)),
-        boundary=boundary,
-        history_policy=history,
-    )
+    return SystemSpec(id, level, components, edges, env, boundary, history)
 
 
 @dataclass(frozen=True)
@@ -472,7 +438,7 @@ def _validate_level(
 
     # Environment nodes.
     env_by_id: dict[str, EnvNode] = {}
-    for node in spec.interface.env_nodes:
+    for node in spec.env_nodes:
         epath = f"{path}/env/{node.id}"
         if node.id in env_by_id:
             bad(f"duplicate environment node {node.id!r}", epath)
@@ -519,8 +485,8 @@ def _validate_level(
     # inside feeds the port, and as its "head" when the port feeds one.
     port_index: dict[str, dict[str, dict[str, bool]]] = {}
     for type_id, sub in subsystems.items():
-        sides = {n.id: {} for n in sub.interface.env_nodes if isinstance(n, EntityNode)}
-        for edge in sub.interface.edges:
+        sides = {n.id: {} for n in sub.env_nodes if isinstance(n, EntityNode)}
+        for edge in sub.edges:
             head_base, _ = split_endpoint(edge.head)
             tail_base, _ = split_endpoint(edge.tail)
             if head_base in sides:
@@ -547,24 +513,11 @@ def _validate_level(
         else:
             bad(f"unresolved endpoint {ref!r}", epath)
 
-    # Network edges: strictly internal.
+    # Edges. One between components wires the network; one with exactly one
+    # environment endpoint is an interface edge: sources feed in, sinks
+    # drain out.
     edge_ids: set[str] = set()
-    for edge in spec.network:
-        epath = f"{path}/edges/{edge.id}"
-        if edge.id in edge_ids:
-            bad(f"duplicate edge id {edge.id!r}", epath)
-        edge_ids.add(edge.id)
-        name(edge.id, "edge id", epath)
-        for ref, side in ((edge.tail, "tail"), (edge.head, "head")):
-            base, _ = split_endpoint(ref)
-            if base in env_by_id:
-                bad(f"environment node {base!r} appears in the internal network", epath)
-                continue
-            check_internal_ref(ref, side, epath)
-
-    # Interface edges: exactly one environment endpoint, sources feed in,
-    # sinks drain out.
-    for edge in spec.interface.edges:
+    for edge in spec.edges:
         epath = f"{path}/edges/{edge.id}"
         if edge.id in edge_ids:
             bad(f"duplicate edge id {edge.id!r}", epath)
@@ -574,9 +527,12 @@ def _validate_level(
         head_base, _ = split_endpoint(edge.head)
         tail_env = tail_base in env_by_id
         head_env = head_base in env_by_id
-        if tail_env == head_env:
-            which = "two" if tail_env else "no"
-            bad(f"interface edge has {which} environment endpoints", epath)
+        if not (tail_env or head_env):
+            check_internal_ref(edge.tail, "tail", epath)
+            check_internal_ref(edge.head, "head", epath)
+            continue
+        if tail_env and head_env:
+            bad("interface edge has two environment endpoints", epath)
             continue
         env_ref, env_id, internal_ref, internal_side = (
             (edge.tail, tail_base, edge.head, "head")
@@ -601,7 +557,7 @@ def _validate_level(
         check_internal_ref(internal_ref, internal_side, epath)
 
     # Flow attributes, in edge-id order.
-    for edge in spec.all_edges():
+    for edge in spec.edges:
         kpath = f"{path}/knowledge/{edge.id}"
         entry = edge.knowledge
         if not isinstance(entry, EdgeKnowledge):

@@ -547,7 +547,7 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
             lines.append(f"{pad}{head} {{")
             _print_body(comp.body, lines, indent + 1)
             lines.append(f"{pad}}}")
-    for node in spec.interface.env_nodes:
+    for node in spec.env_nodes:
         if isinstance(node, SourceNode):
             lines.append(
                 f"{pad}source {node.id} rate={fmt_qty(node.rate)}"
@@ -557,7 +557,7 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
             lines.append(f"{pad}sink {node.id} scope={node.scope.value}")
         else:
             lines.append(f"{pad}entity {node.id}")
-    for edge in spec.all_edges():
+    for edge in spec.edges:
         know = edge.knowledge
         attrs = f"substance={know.substance} capacity={fmt_qty(know.capacity)}"
         if know.strength != 1.0:

@@ -129,7 +129,7 @@ class _Route(NamedTuple):
 
     id: str
     substance: str
-    capacity: float
+    most: float  # the most a run moves along the edge in one tick
     draw: tuple[str, str] | None  # the actor stock it empties
     fill: tuple[str, str] | None  # the actor stock it fills
     sink: tuple[str, str] | None  # the end-market counter it feeds
@@ -156,26 +156,30 @@ class _Plan:
         for edge in flat.edges:
             substance, capacity = edge.knowledge.substance, edge.knowledge.capacity
             tail_env, head_env = env.get(edge.tail), env.get(edge.head)
+            sink = (edge.head, substance) if isinstance(head_env, SinkNode) else None
+            most = 0.0
+            # Entities carry nothing; sources and sinks are one-way, so a
+            # flow may end in the environment only at a sink.
+            if capacity > 0 and (head_env is None or sink is not None):
+                if isinstance(tail_env, SourceNode):
+                    # The environment is not modeled: each source edge fills
+                    # up to capacity, but only with the source's own substance.
+                    if substance == tail_env.substance:
+                        most = min(tail_env.rate, capacity)
+                elif tail_env is None:  # edges drawing on one stock contend for it
+                    most = capacity
             route = self.routes[edge.id] = _Route(
                 edge.id,
                 substance,
-                capacity,
+                most,
                 (edge.tail, substance) if edge.tail in internal else None,
                 (edge.head, substance) if edge.head in internal else None,
-                (edge.head, substance) if isinstance(head_env, SinkNode) else None,
+                sink,
             )
-            # Entities carry nothing; sources and sinks are one-way, so a
-            # flow may end in the environment only at a sink.
-            if capacity <= 0 or (head_env is not None and route.sink is None):
-                continue
-            if isinstance(tail_env, SourceNode):
-                # The environment is not modeled: each source edge fills up
-                # to capacity, but only with the source's own substance.
-                amount = min(tail_env.rate, capacity)
-                if substance == tail_env.substance and amount > 0:
-                    self.sources.append((route, amount))
-            elif tail_env is None:  # edges drawing on one stock contend for it
-                contenders.setdefault((edge.tail, substance), []).append((route, capacity))
+            if most > 0 and tail_env is None:
+                contenders.setdefault((edge.tail, substance), []).append((route, most))
+            elif most > 0:
+                self.sources.append((route, most))
         self.groups = []
         for key, flows in sorted(contenders.items()):
             group = sorted(flows, key=_by_id)
@@ -324,7 +328,9 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
     """Reapply a recorded history to reproduce the run's final state.
 
     Every record must name an edge of the model, fall inside the logged
-    ticks and move a positive amount no larger than the edge's capacity.
+    ticks and move a positive amount no larger than a run moves along that
+    edge in one tick: the source's amount on a source edge, the capacity
+    on an edge drawing on an actor's stock, and nothing on any other.
     """
     if log.header.model_hash != model_hash(flat):
         raise HashMismatch("history was recorded against a different model")
@@ -339,8 +345,8 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
             raise InconsistentState(f"record references unknown edge {record.edge!r}")
         if not 0 <= record.tick < end:
             problem = f"lies outside ticks [0, {end})"
-        elif not 0 < record.amount <= route.capacity:
-            problem = f"has amount {record.amount}, outside (0, {route.capacity}]"
+        elif not 0 < record.amount <= route.most:
+            problem = f"has amount {record.amount}, outside (0, {route.most}]"
         else:
             by_tick.setdefault(record.tick, []).append((route, record.amount))
             continue

@@ -366,10 +366,10 @@ def _random_system(
     out_refs: list[str] = []
     in_refs: list[str] = []
     for type_id, sub in sub_specs.items():
-        for edge in sub.interface.edges:
+        for edge in sub.edges:
             tail_base, _ = split_endpoint(edge.tail)
             head_base, _ = split_endpoint(edge.head)
-            for node in sub.interface.env_nodes:
+            for node in sub.env_nodes:
                 if not isinstance(node, EntityNode):
                     continue
                 if head_base == node.id:

@@ -39,16 +39,26 @@ def expected_type_counts(spec: SystemSpec, factor: int = 1, acc=None) -> dict[st
     return acc
 
 
+def _split_edges(spec: SystemSpec) -> tuple[list, list]:
+    """A level's edges as (network, interface), read from the endpoints."""
+    env_ids = {n.id for n in spec.env_nodes}
+    network, interface = [], []
+    for edge in spec.edges:
+        bases = {split_endpoint(edge.tail)[0], split_endpoint(edge.head)[0]}
+        (interface if bases & env_ids else network).append(edge)
+    return network, interface
+
+
 def _endpoint_instances(spec: SystemSpec, ref: str, outgoing: bool) -> int:
     """How many flat endpoints one occurrence of `ref` stands for."""
     base, port = split_endpoint(ref)
-    if base in {n.id for n in spec.interface.env_nodes}:
+    if base in {n.id for n in spec.env_nodes}:
         return 1
     comp = spec.component(base)
     if comp.is_atomic:
         return comp.multiplicity
     inner = 0
-    for edge in comp.body.interface.edges:
+    for edge in _split_edges(comp.body)[1]:
         tail_base, _ = split_endpoint(edge.tail)
         head_base, _ = split_endpoint(edge.head)
         if outgoing and head_base == port:
@@ -60,12 +70,13 @@ def _endpoint_instances(spec: SystemSpec, ref: str, outgoing: bool) -> int:
 
 def expected_edge_count(spec: SystemSpec, is_root: bool = True) -> int:
     total = 0
-    env_nodes = {n.id: n for n in spec.interface.env_nodes}
-    for edge in spec.network:
+    env_nodes = {n.id: n for n in spec.env_nodes}
+    network, interface = _split_edges(spec)
+    for edge in network:
         total += _endpoint_instances(spec, edge.tail, True) * _endpoint_instances(
             spec, edge.head, False
         )
-    for edge in spec.interface.edges:
+    for edge in interface:
         tail_base, _ = split_endpoint(edge.tail)
         env_id = tail_base if tail_base in env_nodes else split_endpoint(edge.head)[0]
         if isinstance(env_nodes[env_id], EntityNode) and not is_root:
@@ -83,10 +94,10 @@ def expected_edge_count(spec: SystemSpec, is_root: bool = True) -> int:
 def expected_env_ids(spec: SystemSpec, is_root: bool = True, acc=None) -> set[str]:
     acc = set() if acc is None else acc
     touched = set()
-    for edge in spec.interface.edges:
+    for edge in _split_edges(spec)[1]:
         touched.add(split_endpoint(edge.tail)[0])
         touched.add(split_endpoint(edge.head)[0])
-    for node in spec.interface.env_nodes:
+    for node in spec.env_nodes:
         if isinstance(node, EntityNode) and not is_root and node.id in touched:
             continue
         acc.add(node.id)

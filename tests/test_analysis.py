@@ -164,8 +164,8 @@ def test_reachability_monotone_under_edge_addition():
         bigger = make_system(
             spec.id,
             components=list(spec.components),
-            edges=list(spec.all_edges()) + [extra],
-            env=list(spec.interface.env_nodes),
+            edges=list(spec.edges) + [extra],
+            env=list(spec.env_nodes),
             boundary=spec.boundary,
         )
         after = end_market_reachability(flatten(bigger))

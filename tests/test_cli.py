@@ -44,6 +44,12 @@ def test_inspect_summary(capsys):
     assert payload["flat"]["nodes"] == 5
 
 
+def test_inspect_reproduces_golden_summary(capsys):
+    assert main(["inspect", NESTED]) == 0
+    golden = (FIXTURES / "nested.inspect.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_flatten_json(capsys):
     assert main(["flatten", DEMO, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -16,7 +16,6 @@ from vcsys import (
     EdgeKnowledge,
     EntityNode,
     HistoryPolicy,
-    InterfaceGraph,
     InvalidSpec,
     PathHitsAtomic,
     PathNotFound,
@@ -25,8 +24,10 @@ from vcsys import (
     SinkNode,
     SourceNode,
     depth,
+    export_json,
     flatten,
     make_system,
+    model_hash,
     subsystem_at,
     validate,
 )
@@ -187,33 +188,29 @@ def test_validate_level_sequence():
     assert any("must be parent level + 1" in v.message for v in report)
 
 
-def _demo_with(env=None, interface=None, **changes):
-    """The demo chain (S -> P -> T -> M) with some fields replaced; ``env``
-    and the ``network`` and ``interface`` edges are given as tuples."""
-    spec = demo_chain_spec()
-    if env is not None or interface is not None:
-        changes["interface"] = InterfaceGraph(
-            spec.interface.env_nodes if env is None else env,
-            spec.interface.edges if interface is None else interface,
-        )
-    return dataclasses.replace(spec, **changes)
+def _demo_with(**changes):
+    """The demo chain (S -> P -> T -> M) with some fields replaced."""
+    return dataclasses.replace(demo_chain_spec(), **changes)
 
 
 def _sp_with(knowledge):
-    """The demo chain's interface edges, with the flow attributes of
-    ``e_sp`` replaced."""
-    return (dataclasses.replace(_E_SP, knowledge=knowledge), _E_TM)
+    """The demo chain's edges, with the flow attributes of ``e_sp``
+    replaced."""
+    return (_E_PT, dataclasses.replace(_E_SP, knowledge=knowledge), _E_TM)
 
 
 _P = ComponentDecl("P", Atomic(Role.PRODUCER, 0))
 _T = ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1))
 _S = SourceNode("S", 4, "grain")
 _M = SinkNode("M", Scope.NATIONAL)
-_E_PT, _E_SP, _E_TM = demo_chain_spec().all_edges()
+_E_PT, _E_SP, _E_TM = demo_chain_spec().edges
 _GRAIN = EdgeKnowledge(1, "grain")
 _FARM_WITHOUT_PORT = dataclasses.replace(
     nested_two_level_spec(),
-    network=(Edge("e_ft", "farm", "T", EdgeKnowledge(3, "grain")),),
+    edges=(
+        Edge("e_ft", "farm", "T", EdgeKnowledge(3, "grain")),
+        Edge("e_tm", "T", "M", EdgeKnowledge(5, "grain")),
+    ),
 )
 
 # Each validate rule no other test reaches: the spec and its exact report.
@@ -246,12 +243,12 @@ VALIDATE_RULES = {
     "component_and_env_id": (
         _demo_with(
             components=(_P, _T, ComponentDecl("Q", Atomic(Role.BUYER, 1))),
-            env=(_S, _M, EntityNode("Q")),
+            env_nodes=(_S, _M, EntityNode("Q")),
         ),
         [("demo/env/Q", "identifier 'Q' is declared as both a component and an environment node")],
     ),
     "infinite_source_rate": (
-        _demo_with(env=(SourceNode("S", math.inf, "grain"), _M)),
+        _demo_with(env_nodes=(SourceNode("S", math.inf, "grain"), _M)),
         [("demo/env/S", "source rate must be a finite non-negative quantity, got inf")],
     ),
     "env_not_permitted": (
@@ -259,11 +256,11 @@ VALIDATE_RULES = {
         [("demo/env/M", "environment node 'M' is not permitted by the boundary")],
     ),
     "duplicate_edge_id": (
-        _demo_with(network=(_E_PT, _E_PT)),
+        _demo_with(edges=(_E_PT, _E_PT, _E_SP, _E_TM)),
         [("demo/edges/e_pt", "duplicate edge id 'e_pt'")],
     ),
     "atomic_endpoint_with_port": (
-        _demo_with(network=(dataclasses.replace(_E_PT, tail="P.x"),)),
+        _demo_with(edges=(dataclasses.replace(_E_PT, tail="P.x"), _E_SP, _E_TM)),
         [("demo/edges/e_pt", "atomic component 'P' has no port 'x'")],
     ),
     "subsystem_endpoint_without_port": (
@@ -276,32 +273,24 @@ VALIDATE_RULES = {
             ),
         ],
     ),
-    "env_node_in_network": (
-        _demo_with(network=(_E_PT, Edge("e_st", "S", "T", _GRAIN))),
-        [("demo/edges/e_st", "environment node 'S' appears in the internal network")],
-    ),
-    "interface_edge_without_env": (
-        _demo_with(interface=(_E_SP, _E_TM, Edge("e_tp", "T", "P", _GRAIN))),
-        [("demo/edges/e_tp", "interface edge has no environment endpoints")],
-    ),
     "interface_edge_between_envs": (
-        _demo_with(interface=(Edge("e_sm", "S", "M", _GRAIN), _E_SP, _E_TM)),
+        _demo_with(edges=(Edge("e_sm", "S", "M", _GRAIN), _E_PT, _E_SP, _E_TM)),
         [("demo/edges/e_sm", "interface edge has two environment endpoints")],
     ),
     "port_on_env_node": (
-        _demo_with(interface=(dataclasses.replace(_E_SP, tail="S.x"), _E_TM)),
+        _demo_with(edges=(_E_PT, dataclasses.replace(_E_SP, tail="S.x"), _E_TM)),
         [("demo/edges/e_sp", "environment node 'S' has no ports")],
     ),
     "knowledge_not_edge_knowledge": (
-        _demo_with(interface=_sp_with((4, "grain"))),
+        _demo_with(edges=_sp_with((4, "grain"))),
         [("demo/knowledge/e_sp", "flow attributes must be EdgeKnowledge, got (4, 'grain')")],
     ),
     "infinite_capacity": (
-        _demo_with(interface=_sp_with(EdgeKnowledge(math.inf, "grain"))),
+        _demo_with(edges=_sp_with(EdgeKnowledge(math.inf, "grain"))),
         [("demo/knowledge/e_sp", "capacity must be a finite non-negative quantity, got inf")],
     ),
     "nan_strength": (
-        _demo_with(interface=_sp_with(EdgeKnowledge(4, "grain", math.nan))),
+        _demo_with(edges=_sp_with(EdgeKnowledge(4, "grain", math.nan))),
         [("demo/knowledge/e_sp", "strength must be a finite non-negative number, got nan")],
     ),
 }
@@ -443,6 +432,20 @@ def test_flatten_deterministic():
         assert flatten(s) == flatten(s)
 
 
+def test_flatten_expands_network_edges_before_interface_edges():
+    """Each group in id order: the flat graph, its hash and every log
+    recorded against it depend on this order."""
+    spec = demo_chain_spec()
+    renamed = [dataclasses.replace(e, id="z_pt") if e.id == "e_pt" else e for e in spec.edges]
+    spec = dataclasses.replace(spec, edges=renamed)
+    flat = flatten(spec)
+    assert [e.id for e in flat.edges] == ["z_pt#1", "e_sp#1", "e_tm#1"]
+    assert model_hash(flat) == "e99c02e6bb09d86ac64102373b0ad118443521cf5c9930827bcae04eaee3394d"
+    exported = export_json(spec)
+    assert exported["network"]["edges"] == [{"id": "z_pt", "tail": "P", "head": "T"}]
+    assert [e["id"] for e in exported["interface"]["edges"]] == ["e_sp", "e_tm"]
+
+
 def test_flatten_keeps_origin_paths():
     flat = flatten(nested_two_level_spec())
     plots = [n for n in flat.nodes if n.id.startswith("plot")]
@@ -480,7 +483,7 @@ def test_flatten_unwired_port_raises():
 @pytest.mark.parametrize(
     "spec",
     [
-        _demo_with(network=(dataclasses.replace(_E_PT, knowledge=None),)),
+        _demo_with(edges=(dataclasses.replace(_E_PT, knowledge=None), _E_SP, _E_TM)),
         make_system(
             "none", components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0), multiplicity=0)]
         ),
@@ -523,7 +526,7 @@ def _mutate(rng, spec):
     no edge."""
     options = []
     for path, s in _levels(spec):
-        for edge in s.all_edges():
+        for edge in s.edges:
             options.append(("drop_edge", path, s, edge))
             if "." in edge.tail or "." in edge.head:
                 options.append(("swap_port", path, s, edge))
@@ -539,12 +542,7 @@ def _mutate(rng, spec):
         swapped = dataclasses.replace(target, tail=target.head, head=target.tail)
         return [swapped if e.id == target.id else e for e in edges]
 
-    level = dataclasses.replace(
-        s,
-        network=edit(s.network),
-        interface=dataclasses.replace(s.interface, edges=edit(s.interface.edges)),
-    )
-    return kind, _replace_at(spec, path, level)
+    return kind, _replace_at(spec, path, dataclasses.replace(s, edges=edit(s.edges)))
 
 
 def test_flatten_agrees_with_validate_on_mutants():

@@ -44,8 +44,8 @@ def test_parse_empty_system():
     assert spec.id == "demo"
     assert spec.level == 0
     assert spec.components == ()
-    assert spec.network == ()
-    assert spec.interface.env_nodes == ()
+    assert spec.edges == ()
+    assert spec.env_nodes == ()
     assert spec.boundary.allowed_substances is None
     assert spec.history_policy is HistoryPolicy.RECORD
 
@@ -55,8 +55,8 @@ def test_parse_demo_chain():
     assert doc.ok, doc.diagnostics
     spec = doc.root
     assert len(spec.components) == 2
-    assert len(spec.network) + len(spec.interface.edges) == 3
-    assert len(spec.interface.env_nodes) == 2
+    assert len(spec.edges) == 3
+    assert len(spec.env_nodes) == 2
     assert spec == demo_chain_spec()
 
 
@@ -445,6 +445,24 @@ def test_export_dot_demo_chain():
     assert any("shape=house" in ln for ln in node_lines)
     assert any("shape=invhouse" in ln for ln in node_lines)
     assert any("producer:0" in ln for ln in node_lines)
+
+
+def test_export_dot_quotes_ids_spelled_like_keywords():
+    """DOT keywords are case-independent; an id spelled like one is quoted."""
+    doc = parse(
+        'system "Graph" {\n'
+        "  component T atomic role=processor_trader tier=1\n"
+        "  sink node scope=local\n"
+        "  edge e_tn T -> node { substance=grain capacity=1 }\n"
+        "}\n"
+    )
+    assert doc.ok, doc.diagnostics
+    lines = export_dot(flatten(doc.root)).splitlines()
+    assert lines[0] == 'digraph "Graph" {'
+    assert '  "node" [shape=invhouse label="node"]' in lines
+    assert '  "T#1" -> "node" [label="grain cap=1"]' in lines
+    assert export_dot(FlatGraph(id="SUBGRAPH")).startswith('digraph "SUBGRAPH" {')
+    assert export_dot(FlatGraph(id="nodes")).startswith("digraph nodes {")
 
 
 def test_export_dot_zero_capacity_is_dashed():

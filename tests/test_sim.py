@@ -423,6 +423,34 @@ def test_replay_rejects_a_source_flow_over_capacity():
         replay(flat, dataclasses.replace(log, records=forged))
 
 
+def test_replay_bounds_a_record_by_what_a_run_moves():
+    """A grain source of rate 2 and a water source, each on a capacity-10
+    grain edge into P: a run moves 2.0 on the first edge and nothing on
+    the second, so a record may move no more."""
+    spec = make_system(
+        "bounded",
+        components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
+        env=[SourceNode("S", 2, "grain"), SourceNode("W", 7, "water")],
+        edges=[
+            Edge("e_sp", "S", "P", EdgeKnowledge(10, "grain")),
+            Edge("e_wp", "W", "P", EdgeKnowledge(10, "grain")),
+        ],
+    )
+    flat = flatten(spec)
+    state, log = run(flat, 1)
+    assert log.records == (TransitionRecord(0, "e_sp#1", 2.0),)
+    assert replay(flat, log) == state
+    header = LogHeader(model_hash(flat), 1)
+    cases = [
+        ([(0, "e_sp#1", 10.0), (0, "e_wp#1", 7.0)], r"'e_sp#1' has amount 10\.0, outside \(0, 2\.0\]"),
+        ([(0, "e_sp#1", 2.0), (0, "e_wp#1", 7.0)], r"'e_wp#1' has amount 7\.0, outside \(0, 0\.0\]"),
+    ]
+    for records, problem in cases:
+        forged = HistoryLog(header, tuple(TransitionRecord(*r) for r in records))
+        with pytest.raises(InconsistentState, match=rf"^record at tick 0 on edge {problem}$"):
+            replay(flat, forged)
+
+
 def overflow_spec(sink=False):
     """A source of rate and capacity 1e308 into P, and on to a market."""
     edges = [Edge("e_sp", "S", "P", EdgeKnowledge(1e308, "grain"))]
