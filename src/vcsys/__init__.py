@@ -5,133 +5,23 @@ or in the ``.vcs`` text format), validate it, flatten it to an
 atomic-level graph, run deterministic flow dynamics over it with a
 replayable history, and compute structural diagnostics: linkage classes,
 source-to-end-market brokerage, reachability, weak and missing links.
+
+Each module lists its own public names in its ``__all__``; the package
+exports their union.
 """
 
-from .analysis import (
-    GovernanceScore,
-    LinkageClass,
-    WeakLink,
-    WeakLinkageReport,
-    classify_linkages,
-    end_market_reachability,
-    governance_centrality,
-    value_added_profile,
-    weak_linkage_report,
+from . import analysis, export, flatten, model, sdl, sim
+
+# Read before the star imports, which rebind ``flatten`` to the function.
+__all__ = sorted(
+    name for module in (analysis, export, flatten, model, sdl, sim) for name in module.__all__
 )
-from .export import export_dot, export_json, flat_graph_json
-from .flatten import FlatGraph, FlatNode, flatten
-from .model import (
-    DEFAULT_MAX_DEPTH,
-    Atomic,
-    BoundarySpec,
-    ComponentDecl,
-    DepthExceeded,
-    Edge,
-    EdgeKnowledge,
-    EntityNode,
-    EnvNode,
-    HistoryPolicy,
-    InvalidSpec,
-    PathHitsAtomic,
-    PathNotFound,
-    Role,
-    Scope,
-    SinkNode,
-    SourceNode,
-    SystemSpec,
-    ValidationReport,
-    VcsysError,
-    Violation,
-    depth,
-    make_system,
-    subsystem_at,
-    validate,
-)
-from .sdl import Diagnostic, SdlDocument, parse, print_spec
-from .sim import (
-    ConservationEntry,
-    ConservationReport,
-    HashMismatch,
-    HistoryLog,
-    InconsistentState,
-    LogHeader,
-    NegativeStock,
-    NullHistory,
-    SimulationState,
-    TransitionRecord,
-    conservation_check,
-    init_state,
-    model_hash,
-    read_log,
-    replay,
-    run,
-    step,
-    write_log,
-)
+
+from .analysis import *  # noqa: E402, F403
+from .export import *  # noqa: E402, F403
+from .flatten import *  # noqa: E402, F403
+from .model import *  # noqa: E402, F403
+from .sdl import *  # noqa: E402, F403
+from .sim import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Atomic",
-    "BoundarySpec",
-    "ComponentDecl",
-    "ConservationEntry",
-    "ConservationReport",
-    "DEFAULT_MAX_DEPTH",
-    "DepthExceeded",
-    "Diagnostic",
-    "Edge",
-    "EdgeKnowledge",
-    "EntityNode",
-    "EnvNode",
-    "FlatGraph",
-    "FlatNode",
-    "GovernanceScore",
-    "HashMismatch",
-    "HistoryLog",
-    "HistoryPolicy",
-    "InconsistentState",
-    "InvalidSpec",
-    "LinkageClass",
-    "LogHeader",
-    "NegativeStock",
-    "NullHistory",
-    "PathHitsAtomic",
-    "PathNotFound",
-    "Role",
-    "Scope",
-    "SdlDocument",
-    "SimulationState",
-    "SinkNode",
-    "SourceNode",
-    "SystemSpec",
-    "TransitionRecord",
-    "ValidationReport",
-    "VcsysError",
-    "Violation",
-    "WeakLink",
-    "WeakLinkageReport",
-    "classify_linkages",
-    "conservation_check",
-    "depth",
-    "end_market_reachability",
-    "export_dot",
-    "export_json",
-    "flat_graph_json",
-    "flatten",
-    "governance_centrality",
-    "init_state",
-    "make_system",
-    "model_hash",
-    "parse",
-    "print_spec",
-    "read_log",
-    "replay",
-    "run",
-    "step",
-    "subsystem_at",
-    "validate",
-    "value_added_profile",
-    "weak_linkage_report",
-    "write_log",
-]

@@ -60,17 +60,13 @@ def _emit(text: str, output: str | None) -> None:
                 fp.write("\n")
 
 
-def _print_diagnostics(doc: SdlDocument) -> None:
+def _print_diagnostics(path: str, doc: SdlDocument) -> None:
     for diag in doc.diagnostics:
-        sys.stderr.write(
-            f"{doc.source_name}:{diag.line}:{diag.column}: {diag.severity}:"
-            f" {diag.message}\n"
-        )
+        sys.stderr.write(f"{path}:{diag.line}:{diag.column}: error: {diag.message}\n")
 
 
 def _load(path: str, max_depth: int) -> SdlDocument:
-    text = _read_input(path)
-    return parse(text, source_name=path, max_depth=max_depth)
+    return parse(_read_input(path), max_depth=max_depth)
 
 
 def _json_dumps(payload: Any) -> str:
@@ -117,21 +113,21 @@ def _cmd_validate(args: argparse.Namespace, max_depth: int) -> int:
     doc = _load(args.file, max_depth)
     result = {
         "ok": doc.ok,
-        "diagnostics": [vars(d) for d in doc.diagnostics],
+        "diagnostics": [{"severity": "error", **vars(d)} for d in doc.diagnostics],
     }
     _emit(_json_dumps(result), args.output)
     if doc.ok:
         sys.stderr.write("OK\n")
         return _EXIT_OK
     sys.stderr.write(f"INVALID: {len(doc.diagnostics)} finding(s)\n")
-    _print_diagnostics(doc)
+    _print_diagnostics(args.file, doc)
     return _EXIT_FINDINGS if args.strict else _EXIT_OK
 
 
 def _require_model(args: argparse.Namespace, max_depth: int) -> SdlDocument:
     doc = _load(args.file, max_depth)
     if doc.root is None:
-        _print_diagnostics(doc)
+        _print_diagnostics(args.file, doc)
         raise SystemExit(_EXIT_FINDINGS)
     return doc
 

@@ -18,10 +18,11 @@ reports violations as data rather than raising; ``depth`` and
 ``subsystem_at`` navigate the component tree. Expansion into a runnable
 graph lives in :mod:`vcsys.flatten`.
 
-Everything here is immutable after construction; constructors normalize
-ordering (components, edges and environment nodes sort by id) so that
-structurally equal descriptions compare equal regardless of declaration
-order, and so that downstream output is deterministic.
+Everything here is immutable after construction. A description is built
+with the :class:`SystemSpec` constructor, which takes any iterables of
+components, edges and environment nodes and stores each as a tuple sorted
+by id, so that structurally equal descriptions compare equal regardless
+of declaration order, and so that downstream output is deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +35,33 @@ import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Union
+
+__all__ = [
+    "DEFAULT_MAX_DEPTH",
+    "VcsysError",
+    "DepthExceeded",
+    "PathNotFound",
+    "PathHitsAtomic",
+    "Role",
+    "Scope",
+    "HistoryPolicy",
+    "Atomic",
+    "EdgeKnowledge",
+    "Edge",
+    "SourceNode",
+    "SinkNode",
+    "EntityNode",
+    "EnvNode",
+    "BoundarySpec",
+    "ComponentDecl",
+    "SystemSpec",
+    "Violation",
+    "ValidationReport",
+    "InvalidSpec",
+    "validate",
+    "depth",
+    "subsystem_at",
+]
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -231,9 +259,9 @@ class ComponentDecl:
 class SystemSpec:
     """A complete system description at one nesting level.
 
-    ``edges`` and ``env_nodes`` hold all the level's edges and environment
-    nodes, sorted by id. An edge with an environment endpoint is part of
-    the interface; any other wires the network among the components.
+    ``components``, ``edges`` and ``env_nodes`` accept any iterables and
+    hold tuples sorted by id. An edge with an environment endpoint is part
+    of the interface; any other wires the network among the components.
     """
 
     id: str
@@ -256,24 +284,6 @@ class SystemSpec:
         return None
 
 
-def make_system(
-    id: str,
-    *,
-    level: int = 0,
-    components: Iterable[ComponentDecl] = (),
-    edges: Iterable[Edge] = (),
-    env: Iterable[EnvNode] = (),
-    boundary: BoundarySpec = BoundarySpec(),
-    history: HistoryPolicy = HistoryPolicy.RECORD,
-) -> SystemSpec:
-    """Assemble a SystemSpec from any iterables of its parts.
-
-    This is the convenient way to build descriptions in code; the
-    dataclass constructor stays available for exotic cases.
-    """
-    return SystemSpec(id, level, components, edges, env, boundary, history)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One structural rule broken, located by a slash path into the tree."""
@@ -284,28 +294,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every rule a description breaks; ``ok`` when it breaks none."""
+
     violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self) -> int:
-        return len(self.violations)
-
 
 class InvalidSpec(VcsysError):
     """A description breaks structural rules; ``report`` holds every one."""
 
     def __init__(self, report: ValidationReport) -> None:
-        first = report.violations[0]
-        more = f" (and {len(report) - 1} more)" if len(report) > 1 else ""
+        first, count = report.violations[0], len(report.violations)
+        more = f" (and {count - 1} more)" if count > 1 else ""
         super().__init__(f"{first.path}: {first.message}{more}")
         self.report = report
 
@@ -390,9 +393,10 @@ def _validate_level(
         bad(f"nesting depth exceeds max_depth={max_depth}")
         return
 
-    if not isinstance(spec.level, int) or spec.level < 0:
+    # Integers are exact ints: bool and float are refused.
+    if type(spec.level) is not int or spec.level < 0:
         bad(f"level must be a non-negative integer, got {spec.level!r}")
-    if parent_level is not None and spec.level != parent_level + 1:
+    if type(parent_level) is int and spec.level != parent_level + 1:
         bad(
             f"nested system level {spec.level} must be parent level + 1"
             f" (= {parent_level + 1})"
@@ -408,7 +412,7 @@ def _validate_level(
             bad(f"duplicate component type {comp.type_id!r}", cpath)
         seen_types.add(comp.type_id)
         name(comp.type_id, "component type", cpath)
-        if not isinstance(comp.multiplicity, int) or comp.multiplicity < 1:
+        if type(comp.multiplicity) is not int or comp.multiplicity < 1:
             bad(f"multiplicity must be a positive integer, got {comp.multiplicity!r}", cpath)
         if comp.variations:
             labels = [label for label, _ in comp.variations]
@@ -416,10 +420,14 @@ def _validate_level(
                 name(label, "variation label", cpath)
             if len(set(labels)) != len(labels):
                 bad("variation labels must be distinct", cpath)
-            if any(count < 1 for _, count in comp.variations):
+            counts = [count for _, count in comp.variations if type(count) is int]
+            for _, count in comp.variations:
+                if type(count) is not int:
+                    bad(f"variation count must be an integer, got {count!r}", cpath)
+            if any(count < 1 for count in counts):
                 bad("every variation count must be >= 1", cpath)
-            total = sum(count for _, count in comp.variations)
-            if total != comp.multiplicity:
+            total = sum(counts)
+            if len(counts) == len(comp.variations) and total != comp.multiplicity:
                 bad(
                     f"variation counts sum to {total}, expected multiplicity"
                     f" {comp.multiplicity}",
@@ -429,7 +437,7 @@ def _validate_level(
             atomics.add(comp.type_id)
             if not isinstance(comp.body.role, Role):
                 bad(f"role must be a Role, got {comp.body.role!r}", cpath)
-            if not isinstance(comp.body.tier, int) or comp.body.tier < 0:
+            if type(comp.body.tier) is not int or comp.body.tier < 0:
                 bad(f"tier must be a non-negative integer, got {comp.body.tier!r}", cpath)
         elif isinstance(comp.body, SystemSpec):
             subsystems[comp.type_id] = comp.body

@@ -25,10 +25,11 @@ forms, so ``1.5e3`` is 1500 and ``9007199254740993.0`` is itself; one
 with a non-zero fraction is refused, and so is one of more than 308
 digits or whose float is 1e308 or more.
 ``parse`` is total: any input (including arbitrary bytes) yields a
-document whose diagnostics explain what went wrong, and a document has a
-root exactly when it has no diagnostics. ``print_spec`` emits the
-canonical form (declarations sorted by id, two-space indent), which
-reparses to an equal description.
+document whose diagnostics explain what went wrong, each an error at a
+line and column, and a document has a root exactly when it has no
+diagnostics. The caller knows where the text came from and names it when
+it prints them. ``print_spec`` emits the canonical form (declarations
+sorted by id, two-space indent), which reparses to an equal description.
 
 The lexer is one regular expression whose every match is one token,
 taken after the whitespace and comments before it; tokens are their
@@ -62,7 +63,6 @@ from .model import (
     SinkNode,
     SourceNode,
     SystemSpec,
-    make_system,
     validate,
 )
 
@@ -98,7 +98,8 @@ _PUNCTUATION = frozenset(["", "->", "{", "}", "[", "]", "=", "*", ",", ".", ":"]
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
+    """An error in the text, at a 1-based line and column."""
+
     line: int
     column: int
     message: str
@@ -106,7 +107,6 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class SdlDocument:
-    source_name: str
     root: SystemSpec | None
     diagnostics: tuple[Diagnostic, ...] = ()
 
@@ -427,15 +427,8 @@ def _parse_body(
                 at,
             )
 
-    return make_system(
-        sys_id,
-        level=level,
-        components=components,
-        edges=edges,
-        env=env,
-        boundary=boundary or BoundarySpec(),
-        history=history or HistoryPolicy.RECORD,
-    )
+    history = history or HistoryPolicy.RECORD
+    return SystemSpec(sys_id, level, components, edges, env, boundary or BoundarySpec(), history)
 
 
 def _position_for(positions: dict[str, int], violation_path: str) -> int | None:
@@ -458,26 +451,20 @@ def _lex_error(tokens: list[str]) -> tuple[int, str] | None:
     return None
 
 
-def parse(
-    text: str | bytes,
-    source_name: str = "<sdl>",
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> SdlDocument:
+def parse(text: str | bytes, *, max_depth: int = DEFAULT_MAX_DEPTH) -> SdlDocument:
     """Parse a description, never raising.
 
     The document has a root exactly when the text is syntactically well
-    formed and the resulting description validates; otherwise the
-    diagnostics say what failed and where (1-based line/column).
+    formed and the resulting description validates within ``max_depth``;
+    otherwise the diagnostics say what failed and where (1-based
+    line/column).
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            return SdlDocument(
-                source_name,
-                None,
-                (Diagnostic("error", 1, 1, f"input is not valid UTF-8: {exc.reason}"),),
-            )
+            message = f"input is not valid UTF-8: {exc.reason}"
+            return SdlDocument(None, (Diagnostic(1, 1, message),))
     positions: dict[str, int] = {}
     errors: list[tuple[int | None, str]]  # (token index or None for offset 0, message)
     stream = _Stream(_TOKEN.findall(text))
@@ -505,7 +492,7 @@ def parse(
     else:
         report = validate(root, max_depth)
         if report.ok:
-            return SdlDocument(source_name, root, ())
+            return SdlDocument(root)
         errors = [
             (_position_for(positions, v.path), f"{v.path}: {v.message}")
             for v in report.violations
@@ -513,10 +500,10 @@ def parse(
     starts = [m.start(1) for m in _TOKEN.finditer(text)]
     newlines = [m.start() for m in re.finditer("\n", text)]
     diagnostics = tuple(
-        Diagnostic("error", *_line_col(newlines, 0 if at is None else starts[at]), message)
+        Diagnostic(*_line_col(newlines, 0 if at is None else starts[at]), message)
         for at, message in errors
     )
-    return SdlDocument(source_name, None, diagnostics)
+    return SdlDocument(None, diagnostics)
 
 
 def fmt_qty(value: float) -> str:

@@ -276,8 +276,11 @@ def step(
 ) -> tuple[SimulationState, list[TransitionRecord]]:
     """Advance one tick; returns the new state and the positive-flow records.
 
-    A stock key the state lacks counts as zero.
+    A stock key the state lacks counts as zero. The tick must be a
+    non-negative int, as ``run``'s ``steps`` must.
     """
+    if type(state.tick) is not int or state.tick < 0:
+        raise InconsistentState(f"tick {state.tick!r} is not a non-negative int")
     stocks = _float_copy("stock", state.stocks)
     received = _float_copy("delivery counter", state.sink_received)
     for node, _ in stocks:

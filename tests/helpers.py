@@ -20,7 +20,6 @@ from vcsys import (
     SinkNode,
     SourceNode,
     SystemSpec,
-    make_system,
     parse,
     print_spec,
 )
@@ -38,32 +37,32 @@ def demo_chain_spec(
     strength: float = 1.0,
 ) -> SystemSpec:
     """The reference chain: source S -> producer P -> trader T -> market M."""
-    return make_system(
+    return SystemSpec(
         "demo",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
         ],
-        env=[SourceNode("S", rate, "grain"), SinkNode("M", Scope.NATIONAL)],
+        env_nodes=[SourceNode("S", rate, "grain"), SinkNode("M", Scope.NATIONAL)],
         edges=[
             Edge("e_sp", "S", "P", EdgeKnowledge(caps[0], "grain", strength)),
             Edge("e_pt", "P", "T", EdgeKnowledge(caps[1], "grain", strength)),
             Edge("e_tm", "T", "M", EdgeKnowledge(caps[2], "grain", strength)),
         ],
         boundary=BoundarySpec(frozenset({"grain"}), frozenset({"grain"})),
-        history=history,
+        history_policy=history,
     )
 
 
 def diamond_spec() -> SystemSpec:
     """Two equally short routes from one source to one market."""
-    return make_system(
+    return SystemSpec(
         "diamond",
         components=[
             ComponentDecl("A", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("B", Atomic(Role.PRODUCER, 0)),
         ],
-        env=[SourceNode("S", 2, "grain"), SinkNode("M", Scope.LOCAL)],
+        env_nodes=[SourceNode("S", 2, "grain"), SinkNode("M", Scope.LOCAL)],
         edges=[
             Edge("e1", "S", "A", EdgeKnowledge(1, "grain")),
             Edge("e2", "S", "B", EdgeKnowledge(1, "grain")),
@@ -75,13 +74,13 @@ def diamond_spec() -> SystemSpec:
 
 def two_sink_spec() -> SystemSpec:
     """One trader feeding a national and a global end market."""
-    return make_system(
+    return SystemSpec(
         "twosink",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
         ],
-        env=[
+        env_nodes=[
             SourceNode("S", 4, "grain"),
             SinkNode("M1", Scope.NATIONAL),
             SinkNode("M2", Scope.GLOBAL),
@@ -112,7 +111,9 @@ def fan_spec(producers: int, exporters: int) -> SystemSpec:
         components.append(ComponentDecl(f"X{j}", Atomic(Role.PROCESSOR_TRADER, 2)))
         edges.append(Edge(f"e_t{j}", "T", f"X{j}", EdgeKnowledge(1, "grain")))
         edges.append(Edge(f"e_x{j}", f"X{j}", "M", EdgeKnowledge(1, "grain")))
-    return make_system(f"fan{producers}x{exporters}", components=components, edges=edges, env=env)
+    return SystemSpec(
+        f"fan{producers}x{exporters}", components=components, edges=edges, env_nodes=env
+    )
 
 
 def shared_traders_spec(sources: int) -> SystemSpec:
@@ -135,25 +136,25 @@ def shared_traders_spec(sources: int) -> SystemSpec:
     for j in range(traders):
         for k in sorted({j % markets, (j + 1) % markets}):
             edges.append(Edge(f"e_t{j}_{k}", f"T{j}", f"M{k}", EdgeKnowledge(1, "grain")))
-    return make_system(f"shared{sources}", components=components, edges=edges, env=env)
+    return SystemSpec(f"shared{sources}", components=components, edges=edges, env_nodes=env)
 
 
 def nested_two_level_spec() -> SystemSpec:
     """A farm subsystem exporting through a port to a trader at the root."""
-    farm = make_system(
+    farm = SystemSpec(
         "farm",
         level=1,
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0), multiplicity=2)],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b_out", "plot", "out", EdgeKnowledge(2, "grain"))],
     )
-    return make_system(
+    return SystemSpec(
         "estate",
         components=[
             ComponentDecl("farm", farm),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
         ],
-        env=[SinkNode("M", Scope.REGIONAL)],
+        env_nodes=[SinkNode("M", Scope.REGIONAL)],
         edges=[
             Edge("e_ft", "farm.out", "T", EdgeKnowledge(3, "grain")),
             Edge("e_tm", "T", "M", EdgeKnowledge(5, "grain")),
@@ -163,17 +164,17 @@ def nested_two_level_spec() -> SystemSpec:
 
 def nested_mult_spec() -> SystemSpec:
     """Component A (x2) whose body holds two atomics: four leaves under A."""
-    inner = make_system(
+    inner = SystemSpec(
         "A",
         level=1,
         components=[
             ComponentDecl("x", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("y", Atomic(Role.SUPPORT_SERVICE, 0)),
         ],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b1", "x", "out", EdgeKnowledge(1, "grain"))],
     )
-    return make_system(
+    return SystemSpec(
         "plant",
         components=[
             ComponentDecl("A", inner, multiplicity=2),
@@ -185,30 +186,30 @@ def nested_mult_spec() -> SystemSpec:
 
 def three_level_spec() -> SystemSpec:
     """Three nesting levels: depth(root) == 2 by hand count."""
-    grange = make_system(
+    grange = SystemSpec(
         "grange",
         level=2,
         components=[ComponentDecl("h", Atomic(Role.PRODUCER, 0))],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b_g", "h", "out", EdgeKnowledge(1, "grain"))],
     )
-    farm = make_system(
+    farm = SystemSpec(
         "farm",
         level=1,
         components=[
             ComponentDecl("barn", Atomic(Role.SUPPORT_SERVICE, 0)),
             ComponentDecl("grange", grange),
         ],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b_f", "grange.out", "out", EdgeKnowledge(1, "grain"))],
     )
-    return make_system(
+    return SystemSpec(
         "country",
         components=[
             ComponentDecl("farm", farm),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
         ],
-        env=[SinkNode("M", Scope.GLOBAL)],
+        env_nodes=[SinkNode("M", Scope.GLOBAL)],
         edges=[
             Edge("e_ft", "farm.out", "T", EdgeKnowledge(2, "grain")),
             Edge("e_tm", "T", "M", EdgeKnowledge(2, "grain")),
@@ -415,14 +416,14 @@ def _random_system(
     history = HistoryPolicy.RECORD
     if is_root and rng.random() < 0.3:
         history = HistoryPolicy.NULL
-    return make_system(
+    return SystemSpec(
         sys_id,
         level=level,
         components=components,
         edges=edges,
-        env=env,
+        env_nodes=env,
         boundary=boundary,
-        history=history,
+        history_policy=history,
     )
 
 
@@ -475,11 +476,11 @@ def random_flow_model(
                 EdgeKnowledge(quantity(), rng.choice(substances)),
             )
         )
-    return make_system(
+    return SystemSpec(
         f"flow{rng.randint(0, 999)}",
         components=components,
         edges=edges,
-        env=env,
+        env_nodes=env,
         boundary=BoundarySpec(None, frozenset(substances)),
     )
 

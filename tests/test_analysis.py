@@ -20,11 +20,11 @@ from vcsys import (
     Scope,
     SinkNode,
     SourceNode,
+    SystemSpec,
     classify_linkages,
     end_market_reachability,
     flatten,
     governance_centrality,
-    make_system,
     value_added_profile,
     weak_linkage_report,
 )
@@ -41,7 +41,7 @@ from .oracles import brute_governance
 
 
 def horizontal_pair_spec():
-    return make_system(
+    return SystemSpec(
         "pair",
         components=[
             ComponentDecl("P1", Atomic(Role.PRODUCER, 0)),
@@ -86,14 +86,14 @@ def test_governance_diamond_split():
 
 
 def test_governance_isolated_node_scores_zero():
-    spec = make_system(
+    spec = SystemSpec(
         "iso",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
             ComponentDecl("X", Atomic(Role.SUPPORT_SERVICE, 2)),
         ],
-        env=[SourceNode("S", 1, "grain"), SinkNode("M", Scope.LOCAL)],
+        env_nodes=[SourceNode("S", 1, "grain"), SinkNode("M", Scope.LOCAL)],
         edges=[
             Edge("e1", "S", "P", EdgeKnowledge(1, "grain")),
             Edge("e2", "P", "T", EdgeKnowledge(1, "grain")),
@@ -161,11 +161,11 @@ def test_reachability_monotone_under_edge_addition():
         before = end_market_reachability(flat)
         nodes = [c.type_id for c in spec.components]
         extra = Edge("zz_extra", rng.choice(nodes), rng.choice(nodes), EdgeKnowledge(5, "grain"))
-        bigger = make_system(
+        bigger = SystemSpec(
             spec.id,
             components=list(spec.components),
             edges=list(spec.edges) + [extra],
-            env=list(spec.env_nodes),
+            env_nodes=list(spec.env_nodes),
             boundary=spec.boundary,
         )
         after = end_market_reachability(flatten(bigger))
@@ -191,7 +191,7 @@ def test_weak_report_threshold_zero_is_empty():
 
 
 def test_weak_report_missing_tier_pair():
-    spec = make_system(
+    spec = SystemSpec(
         "gap",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
@@ -216,7 +216,7 @@ def test_weak_report_rejects_non_finite_threshold(threshold):
 # --- value added ------------------------------------------------------------
 
 def test_value_added_isolated_node_zero():
-    spec = make_system(
+    spec = SystemSpec(
         "solo", components=[ComponentDecl("X", Atomic(Role.SUPPORT_SERVICE, 0))]
     )
     assert value_added_profile(flatten(spec)) == {"X#1": 0.0}

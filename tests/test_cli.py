@@ -36,6 +36,16 @@ def test_validate_broken_fixture_strict(capsys):
     assert "INVALID" in captured.err
 
 
+def test_validate_reproduces_golden_findings(capsys):
+    assert main(["validate", BROKEN]) == 0
+    captured = capsys.readouterr()
+    golden = (FIXTURES / "broken.validate.json").read_bytes()
+    assert captured.out.encode("utf-8") == golden
+    assert captured.err == (
+        f"INVALID: 1 finding(s)\n{BROKEN}:4:1: error: expected }}, found 'end of input'\n"
+    )
+
+
 def test_inspect_summary(capsys):
     assert main(["inspect", NESTED]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -23,10 +23,10 @@ from vcsys import (
     Scope,
     SinkNode,
     SourceNode,
+    SystemSpec,
     depth,
     export_json,
     flatten,
-    make_system,
     model_hash,
     subsystem_at,
     validate,
@@ -55,18 +55,18 @@ def test_validate_null_history_spec_is_clean():
 
 
 def test_validate_reports_unresolved_endpoint():
-    spec = make_system(
+    spec = SystemSpec(
         "dangling",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
         edges=[Edge("e1", "P", "x", EdgeKnowledge(1, "grain"))],
     )
     report = validate(spec)
-    assert len(report) == 1
+    assert len(report.violations) == 1
     assert "unresolved endpoint 'x'" in report.violations[0].message
 
 
 def test_validate_reports_boundary_substance():
-    spec = make_system(
+    spec = SystemSpec(
         "bound",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
@@ -76,12 +76,12 @@ def test_validate_reports_boundary_substance():
         boundary=BoundarySpec(allowed_substances=frozenset({"grain"})),
     )
     report = validate(spec)
-    assert len(report) == 1
+    assert len(report.violations) == 1
     assert "'steel' is not allowed by the boundary" in report.violations[0].message
 
 
 def test_validate_multiplicity_and_variations():
-    bad = make_system(
+    bad = SystemSpec(
         "vars",
         components=[
             ComponentDecl(
@@ -90,9 +90,9 @@ def test_validate_multiplicity_and_variations():
         ],
     )
     report = validate(bad)
-    assert any("variation counts sum to 2" in v.message for v in report)
+    assert any("variation counts sum to 2" in v.message for v in report.violations)
 
-    good = make_system(
+    good = SystemSpec(
         "vars",
         components=[
             ComponentDecl(
@@ -107,7 +107,7 @@ def test_validate_multiplicity_and_variations():
     "body", [Atomic("producer", 0), None], ids=["role_not_a_role", "body_none"]
 )
 def test_validate_rejects_malformed_component_body(body):
-    spec = make_system("odd", components=[ComponentDecl("P", body)])
+    spec = SystemSpec("odd", components=[ComponentDecl("P", body)])
     report = validate(spec)
     assert not report.ok
     assert report.violations[0].path == "odd/P"
@@ -116,18 +116,18 @@ def test_validate_rejects_malformed_component_body(body):
 
 
 def test_validate_source_direction_and_env_collisions():
-    spec = make_system(
+    spec = SystemSpec(
         "envy",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        env=[SourceNode("S", 1, "grain")],
+        env_nodes=[SourceNode("S", 1, "grain")],
         edges=[Edge("e1", "P", "S", EdgeKnowledge(1, "grain"))],
     )
     report = validate(spec)
-    assert any("may only appear as an edge tail" in v.message for v in report)
+    assert any("may only appear as an edge tail" in v.message for v in report.violations)
 
 
 def test_validate_missing_knowledge():
-    spec = make_system(
+    spec = SystemSpec(
         "nok",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
@@ -136,47 +136,47 @@ def test_validate_missing_knowledge():
         edges=[Edge("e1", "P", "Q", None)],
     )
     report = validate(spec)
-    assert [(v.path, v.message) for v in report] == [
+    assert [(v.path, v.message) for v in report.violations] == [
         ("nok/knowledge/e1", "flow attributes must be EdgeKnowledge, got None")
     ]
 
 
 def test_validate_conflicting_env_definition_across_levels():
-    inner = make_system(
+    inner = SystemSpec(
         "farm",
         level=1,
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
-        env=[SourceNode("S", 5, "grain"), EntityNode("out")],
+        env_nodes=[SourceNode("S", 5, "grain"), EntityNode("out")],
         edges=[
             Edge("b1", "plot", "out", EdgeKnowledge(1, "grain")),
             Edge("b2", "S", "plot", EdgeKnowledge(1, "grain")),
         ],
     )
-    outer = make_system(
+    outer = SystemSpec(
         "estate",
         components=[
             ComponentDecl("farm", inner),
             ComponentDecl("T", Atomic(Role.BUYER, 1)),
         ],
-        env=[SourceNode("S", 4, "grain")],  # same id, different rate
+        env_nodes=[SourceNode("S", 4, "grain")],  # same id, different rate
         edges=[
             Edge("e1", "farm.out", "T", EdgeKnowledge(1, "grain")),
             Edge("e2", "S", "T", EdgeKnowledge(1, "grain")),
         ],
     )
     report = validate(outer)
-    assert any("conflicts with the definition" in v.message for v in report)
+    assert any("conflicts with the definition" in v.message for v in report.violations)
 
 
 def test_validate_level_sequence():
-    inner = make_system(
+    inner = SystemSpec(
         "farm",
         level=5,  # should be 1
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b1", "plot", "out", EdgeKnowledge(1, "grain"))],
     )
-    outer = make_system(
+    outer = SystemSpec(
         "estate",
         components=[
             ComponentDecl("farm", inner),
@@ -185,7 +185,7 @@ def test_validate_level_sequence():
         edges=[Edge("e1", "farm.out", "T", EdgeKnowledge(1, "grain"))],
     )
     report = validate(outer)
-    assert any("must be parent level + 1" in v.message for v in report)
+    assert any("must be parent level + 1" in v.message for v in report.violations)
 
 
 def _demo_with(**changes):
@@ -222,6 +222,39 @@ VALIDATE_RULES = {
     "non_int_level": (
         _demo_with(level=1.0),
         [("demo", "level must be a non-negative integer, got 1.0")],
+    ),
+    "bool_level": (
+        _demo_with(level=True),
+        [("demo", "level must be a non-negative integer, got True")],
+    ),
+    "string_level_above_a_nested_system": (
+        dataclasses.replace(nested_two_level_spec(), level="x"),
+        [("estate", "level must be a non-negative integer, got 'x'")],
+    ),
+    "bool_tier": (
+        _demo_with(components=(ComponentDecl("P", Atomic(Role.PRODUCER, True)), _T)),
+        [("demo/P", "tier must be a non-negative integer, got True")],
+    ),
+    "bool_multiplicity": (
+        _demo_with(components=(dataclasses.replace(_P, multiplicity=True), _T)),
+        [("demo/P", "multiplicity must be a positive integer, got True")],
+    ),
+    "float_variation_count": (
+        _demo_with(components=(dataclasses.replace(_P, variations=(("a", 1.0),)), _T)),
+        [("demo/P", "variation count must be an integer, got 1.0")],
+    ),
+    "bool_variation_count": (
+        _demo_with(components=(dataclasses.replace(_P, variations=(("a", True),)), _T)),
+        [("demo/P", "variation count must be an integer, got True")],
+    ),
+    "string_variation_count": (
+        _demo_with(
+            components=(
+                dataclasses.replace(_P, multiplicity=2, variations=(("a", 1), ("b", "x"))),
+                _T,
+            )
+        ),
+        [("demo/P", "variation count must be an integer, got 'x'")],
     ),
     "duplicate_component_type": (
         _demo_with(components=(_P, _P, _T)),
@@ -299,24 +332,24 @@ VALIDATE_RULES = {
 @pytest.mark.parametrize("rule", sorted(VALIDATE_RULES))
 def test_validate_rule_reports_exact_path_and_message(rule):
     spec, expected = VALIDATE_RULES[rule]
-    assert [(v.path, v.message) for v in validate(spec)] == expected
+    assert [(v.path, v.message) for v in validate(spec).violations] == expected
     with pytest.raises(InvalidSpec):
         flatten(spec)
 
 
 def test_validate_reports_names_the_text_format_cannot_hold():
     """Every name must be an SDL identifier, reported where it is declared."""
-    spec = make_system(
+    spec = SystemSpec(
         "odd",
         components=[ComponentDecl("a b", Atomic(Role.PRODUCER, 0), 2, (("x-1", 2),))],
-        env=[SourceNode("S", 1, 'gr"ain'), SinkNode('M"q', Scope.LOCAL)],
+        env_nodes=[SourceNode("S", 1, 'gr"ain'), SinkNode('M"q', Scope.LOCAL)],
         edges=[
             Edge("e_in", "S", "a b", EdgeKnowledge(1, 'gr"ain')),
             Edge("e.out", "a b", 'M"q', EdgeKnowledge(1, "grain")),
         ],
         boundary=BoundarySpec(conserved_substances=frozenset({'gr"ain', "grain", 7})),
     )
-    assert [(v.path, v.message) for v in validate(spec)] == [
+    assert [(v.path, v.message) for v in validate(spec).violations] == [
         ("odd/a b", "component type 'a b' is not an identifier"),
         ("odd/a b", "variation label 'x-1' is not an identifier"),
         ('odd/env/M"q', "environment node 'M\"q' is not an identifier"),
@@ -347,9 +380,9 @@ def test_depth_exceeded_raises():
 
 
 def test_depth_of_a_chain_deeper_than_the_recursion_limit():
-    spec = make_system("leaf", components=[ComponentDecl("a", Atomic(Role.PRODUCER, 0))])
+    spec = SystemSpec("leaf", components=[ComponentDecl("a", Atomic(Role.PRODUCER, 0))])
     for k in range(sys.getrecursionlimit() + 100):
-        spec = make_system(f"c{k}", components=[ComponentDecl(f"c{k}", spec)])
+        spec = SystemSpec(f"c{k}", components=[ComponentDecl(f"c{k}", spec)])
     assert depth(spec, max_depth=10**6) == sys.getrecursionlimit() + 100
     with pytest.raises(DepthExceeded):
         depth(spec, max_depth=50)
@@ -380,7 +413,7 @@ def test_subsystem_at():
 # --- flatten ----------------------------------------------------------------
 
 def test_flatten_multiplicity_expansion():
-    spec = make_system(
+    spec = SystemSpec(
         "three",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0), multiplicity=3)],
     )
@@ -408,7 +441,7 @@ def test_flatten_demo_chain_counts():
 
 
 def test_flatten_variation_labels():
-    spec = make_system(
+    spec = SystemSpec(
         "vary",
         components=[
             ComponentDecl(
@@ -461,14 +494,14 @@ def test_flatten_carries_knowledge_per_edge():
 
 
 def test_flatten_unwired_port_raises():
-    inner = make_system(
+    inner = SystemSpec(
         "farm",
         level=1,
         components=[ComponentDecl("plot", Atomic(Role.PRODUCER, 0))],
-        env=[EntityNode("out")],
+        env_nodes=[EntityNode("out")],
         edges=[Edge("b1", "plot", "out", EdgeKnowledge(1, "grain"))],
     )
-    outer = make_system(
+    outer = SystemSpec(
         "estate",
         components=[
             ComponentDecl("farm", inner),
@@ -484,10 +517,10 @@ def test_flatten_unwired_port_raises():
     "spec",
     [
         _demo_with(edges=(dataclasses.replace(_E_PT, knowledge=None), _E_SP, _E_TM)),
-        make_system(
+        SystemSpec(
             "none", components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0), multiplicity=0)]
         ),
-        make_system("untiered", components=[ComponentDecl("P", Atomic(Role.PRODUCER, None))]),
+        SystemSpec("untiered", components=[ComponentDecl("P", Atomic(Role.PRODUCER, None))]),
     ],
     ids=["no_knowledge", "multiplicity_zero", "no_tier"],
 )
@@ -566,10 +599,10 @@ def test_flatten_agrees_with_validate_on_mutants():
 
 
 def test_flatten_keeps_unconnected_env_nodes():
-    spec = make_system(
+    spec = SystemSpec(
         "lonely",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        env=[SourceNode("S", 1, "grain"), EntityNode("regulator")],
+        env_nodes=[SourceNode("S", 1, "grain"), EntityNode("regulator")],
     )
     flat = flatten(spec)
     assert {n.id for n in flat.env_nodes} == {"S", "regulator"}

