@@ -33,7 +33,6 @@ def _boundary_json(boundary: BoundarySpec) -> dict[str, Any]:
         if boundary.allowed_substances is None
         else sorted(boundary.allowed_substances),
         "conserve": sorted(boundary.conserved_substances),
-        "frozen_types": boundary.frozen_component_types,
         "permitted_env": None
         if boundary.permitted_env_ids is None
         else sorted(boundary.permitted_env_ids),

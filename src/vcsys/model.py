@@ -23,6 +23,9 @@ with the :class:`SystemSpec` constructor, which takes any iterables of
 components, edges and environment nodes and stores each as a tuple sorted
 by id, so that structurally equal descriptions compare equal regardless
 of declaration order, and so that downstream output is deterministic.
+Constructors check nothing else: one may raise ``TypeError`` for a value
+it cannot sort or store, such as ids of mixed types at one level, or
+``ValueError`` for a quantity ``float`` cannot read.
 """
 
 from __future__ import annotations
@@ -208,7 +211,6 @@ class BoundarySpec:
 
     allowed_substances: frozenset[str] | None = None
     conserved_substances: frozenset[str] = frozenset()
-    frozen_component_types: bool = True
     permitted_env_ids: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
@@ -353,7 +355,8 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     Violations come back as data with tree paths; an empty report means the
     description is well-formed: all nesting, graph, boundary and knowledge
     invariants hold, every name is an identifier of the text format, every
-    edge's substance is allowed by the boundary, and every port splices:
+    role, scope and history policy holds its enum, every edge's substance
+    is allowed by the boundary, and every port splices:
     ``sub.port`` names an entity node of ``sub`` that is fed from inside
     when used as a tail and feeds inside when used as a head, and every
     binding edge inside is used so by the enclosing level.
@@ -366,7 +369,7 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
 def _report(spec: SystemSpec, max_depth: int) -> ValidationReport:
     out: list[Violation] = []
     env_seen: dict[str, tuple[str, EnvNode]] = {}
-    _validate_level(spec, spec.id, 0, max_depth, None, None, env_seen, out)
+    _validate_level(spec, f"{spec.id}", 0, max_depth, None, None, env_seen, out)
     return ValidationReport(tuple(out))
 
 
@@ -389,10 +392,26 @@ def _validate_level(
         if not (isinstance(value, str) and _identifier(value)):
             bad(f"{what} {value!r} is not an identifier", at)
 
+    def claim(value: object, what: str, at: str, seen: dict, item: object) -> bool:
+        # Reports a name declared twice or that is no identifier. Only a str
+        # name goes into ``seen`` and the maps below: any other takes part
+        # in no further check, and the result says which it is.
+        keyed = isinstance(value, str)
+        if keyed and value in seen:
+            bad(f"duplicate {what} {value!r}", at)
+        elif keyed:
+            seen[value] = item
+        name(value, what, at)
+        return keyed
+
     if depth > max_depth:
         bad(f"nesting depth exceeds max_depth={max_depth}")
         return
 
+    if not isinstance(spec.id, str):
+        bad(f"system id must be a str, got {spec.id!r}")
+    if not isinstance(spec.history_policy, HistoryPolicy):
+        bad(f"history policy must be a HistoryPolicy, got {spec.history_policy!r}")
     # Integers are exact ints: bool and float are refused.
     if type(spec.level) is not int or spec.level < 0:
         bad(f"level must be a non-negative integer, got {spec.level!r}")
@@ -403,21 +422,18 @@ def _validate_level(
         )
 
     # Component declarations.
-    seen_types: set[str] = set()
+    seen_types: dict[str, ComponentDecl] = {}
     atomics: set[str] = set()
     subsystems: dict[str, SystemSpec] = {}
     for comp in spec.components:
         cpath = f"{path}/{comp.type_id}"
-        if comp.type_id in seen_types:
-            bad(f"duplicate component type {comp.type_id!r}", cpath)
-        seen_types.add(comp.type_id)
-        name(comp.type_id, "component type", cpath)
+        keyed = claim(comp.type_id, "component type", cpath, seen_types, comp)
         if type(comp.multiplicity) is not int or comp.multiplicity < 1:
             bad(f"multiplicity must be a positive integer, got {comp.multiplicity!r}", cpath)
         if comp.variations:
-            labels = [label for label, _ in comp.variations]
-            for label in labels:
+            for label, _ in comp.variations:
                 name(label, "variation label", cpath)
+            labels = [label for label, _ in comp.variations if isinstance(label, str)]
             if len(set(labels)) != len(labels):
                 bad("variation labels must be distinct", cpath)
             counts = [count for _, count in comp.variations if type(count) is int]
@@ -434,13 +450,15 @@ def _validate_level(
                     cpath,
                 )
         if isinstance(comp.body, Atomic):
-            atomics.add(comp.type_id)
+            if keyed:
+                atomics.add(comp.type_id)
             if not isinstance(comp.body.role, Role):
                 bad(f"role must be a Role, got {comp.body.role!r}", cpath)
             if type(comp.body.tier) is not int or comp.body.tier < 0:
                 bad(f"tier must be a non-negative integer, got {comp.body.tier!r}", cpath)
         elif isinstance(comp.body, SystemSpec):
-            subsystems[comp.type_id] = comp.body
+            if keyed:
+                subsystems[comp.type_id] = comp.body
         else:
             bad(f"body must be Atomic or SystemSpec, got {comp.body!r}", cpath)
 
@@ -448,13 +466,10 @@ def _validate_level(
     env_by_id: dict[str, EnvNode] = {}
     for node in spec.env_nodes:
         epath = f"{path}/env/{node.id}"
-        if node.id in env_by_id:
-            bad(f"duplicate environment node {node.id!r}", epath)
-        env_by_id.setdefault(node.id, node)
-        name(node.id, "environment node", epath)
+        keyed = claim(node.id, "environment node", epath, env_by_id, node)
         if isinstance(node, SourceNode):
             name(node.substance, "substance", epath)
-        if node.id in seen_types:
+        if keyed and node.id in seen_types:
             bad(
                 f"identifier {node.id!r} is declared as both a component and an"
                 " environment node",
@@ -462,6 +477,10 @@ def _validate_level(
             )
         if isinstance(node, SourceNode) and not _is_quantity(node.rate):
             bad(f"source rate must be a finite non-negative quantity, got {node.rate!r}", epath)
+        if isinstance(node, SinkNode) and not isinstance(node.scope, Scope):
+            bad(f"scope must be a Scope, got {node.scope!r}", epath)
+        if not keyed:
+            continue
         if not spec.boundary.permits_env(node.id):
             bad(f"environment node {node.id!r} is not permitted by the boundary", epath)
         prior = env_seen.get(node.id)
@@ -480,7 +499,7 @@ def _validate_level(
     for value in sorted(names, key=repr):
         name(value, "boundary name", f"{path}/boundary")
     if b.allowed_substances is not None:
-        stray = b.conserved_substances - b.allowed_substances
+        stray = {s for s in b.conserved_substances - b.allowed_substances if isinstance(s, str)}
         if stray:
             bad(
                 "conserved substances not allowed by the boundary: "
@@ -493,8 +512,12 @@ def _validate_level(
     # inside feeds the port, and as its "head" when the port feeds one.
     port_index: dict[str, dict[str, dict[str, bool]]] = {}
     for type_id, sub in subsystems.items():
-        sides = {n.id: {} for n in sub.env_nodes if isinstance(n, EntityNode)}
+        sides = {
+            n.id: {} for n in sub.env_nodes if isinstance(n, EntityNode) and isinstance(n.id, str)
+        }
         for edge in sub.edges:
+            if not (isinstance(edge.tail, str) and isinstance(edge.head, str)):
+                continue  # reported where the subsystem is validated
             head_base, _ = split_endpoint(edge.head)
             tail_base, _ = split_endpoint(edge.tail)
             if head_base in sides:
@@ -524,13 +547,15 @@ def _validate_level(
     # Edges. One between components wires the network; one with exactly one
     # environment endpoint is an interface edge: sources feed in, sinks
     # drain out.
-    edge_ids: set[str] = set()
+    edge_ids: dict[str, Edge] = {}
     for edge in spec.edges:
         epath = f"{path}/edges/{edge.id}"
-        if edge.id in edge_ids:
-            bad(f"duplicate edge id {edge.id!r}", epath)
-        edge_ids.add(edge.id)
-        name(edge.id, "edge id", epath)
+        claim(edge.id, "edge id", epath, edge_ids, edge)
+        if not (isinstance(edge.tail, str) and isinstance(edge.head, str)):
+            for ref in (edge.tail, edge.head):
+                if not isinstance(ref, str):
+                    bad(f"unresolved endpoint {ref!r}", epath)
+            continue
         tail_base, _ = split_endpoint(edge.tail)
         head_base, _ = split_endpoint(edge.head)
         tail_env = tail_base in env_by_id
@@ -576,7 +601,7 @@ def _validate_level(
             bad(f"capacity must be a finite non-negative quantity, got {entry.capacity!r}", kpath)
         if not _is_quantity(entry.strength):
             bad(f"strength must be a finite non-negative number, got {entry.strength!r}", kpath)
-        if not spec.boundary.allows(entry.substance):
+        if isinstance(entry.substance, str) and not spec.boundary.allows(entry.substance):
             bad(
                 f"substance {entry.substance!r} is not allowed by the boundary",
                 kpath,

@@ -13,7 +13,7 @@ statement, unambiguous with single-token lookahead::
       entity R                             # environment object / exported port
       edge e_sp S -> P { substance=grain capacity=4 strength=1 }
       edge e_fp farm.out -> P { substance=grain capacity=2 }
-      boundary { allow=[grain] conserve=[grain] frozen=true permitted=[S, M] }
+      boundary { allow=[grain] conserve=[grain] permitted=[S, M] }
       history null                         # default: record
     }
 
@@ -380,7 +380,6 @@ def _parse_body(
             stream.expect("{")
             allow: frozenset[str] | None = None
             conserve: frozenset[str] = frozenset()
-            frozen = True
             permitted: frozenset[str] | None = None
             seen: set[str] = set()
             while _kind(tokens[stream.at]) == "ident":
@@ -396,16 +395,10 @@ def _parse_body(
                     conserve = _ident_list(stream)
                 elif key == "permitted":
                     permitted = _ident_list(stream)
-                elif key == "frozen":
-                    flag_at = stream.at
-                    flag = stream.expect("ident", "true or false")
-                    if flag not in ("true", "false"):
-                        raise stream.error("frozen must be true or false", flag_at)
-                    frozen = flag == "true"
                 else:
                     raise stream.error(f"unknown boundary attribute {key!r}", key_at)
             stream.expect("}")
-            boundary = BoundarySpec(allow, conserve, frozen, permitted)
+            boundary = BoundarySpec(allow, conserve, permitted)
 
         elif tok == "history":
             if history is not None:
@@ -557,8 +550,6 @@ def _print_body(spec: SystemSpec, lines: list[str], indent: int) -> None:
             parts.append("allow=[" + ", ".join(sorted(b.allowed_substances)) + "]")
         if b.conserved_substances:
             parts.append("conserve=[" + ", ".join(sorted(b.conserved_substances)) + "]")
-        if not b.frozen_component_types:
-            parts.append("frozen=false")
         if b.permitted_env_ids is not None:
             parts.append("permitted=[" + ", ".join(sorted(b.permitted_env_ids)) + "]")
         lines.append(f"{pad}boundary {{ " + " ".join(parts) + " }")

@@ -412,7 +412,8 @@ def _random_system(
     permitted = None
     if rng.random() < 0.2:
         permitted = frozenset(node.id for node in env) | {f"spare{next(counter)}"}
-    boundary = BoundarySpec(allowed, conserved, rng.random() < 0.8, permitted)
+    rng.random()  # a retired draw, kept so that later draws stay the same
+    boundary = BoundarySpec(allowed, conserved, permitted)
     history = HistoryPolicy.RECORD
     if is_root and rng.random() < 0.3:
         history = HistoryPolicy.NULL
@@ -553,6 +554,8 @@ def deep_sdl(levels: int) -> str:
 
 # Texts spliced into a description by sdl_mutant: punctuation, keywords,
 # literals, comment and string starts, and characters no token begins with.
+# The golden corpus depends on this exact tuple, so "frozen=false", no
+# longer a boundary attribute, stays.
 _MUTANT_PIECES = (
     "{", "}", "[", "]", "=", "*", ",", ".", ":", "->", "-", '"', "#", "\n", " ", "\t",
     "@", "é", "0", "7", "1.5", "2e1", "3.0", "x", "_y", "component", "atomic", "edge",

@@ -205,6 +205,17 @@ _S = SourceNode("S", 4, "grain")
 _M = SinkNode("M", Scope.NATIONAL)
 _E_PT, _E_SP, _E_TM = demo_chain_spec().edges
 _GRAIN = EdgeKnowledge(1, "grain")
+
+
+def _replace_in_farm(**changes):
+    """The two-level estate with some fields of its farm subsystem replaced."""
+    estate = nested_two_level_spec()
+    farm = dataclasses.replace(estate.component("farm").body, **changes)
+    return dataclasses.replace(
+        estate, components=[ComponentDecl("farm", farm), estate.component("T")]
+    )
+
+
 _FARM_WITHOUT_PORT = dataclasses.replace(
     nested_two_level_spec(),
     edges=(
@@ -325,6 +336,59 @@ VALIDATE_RULES = {
     "nan_strength": (
         _demo_with(edges=_sp_with(EdgeKnowledge(4, "grain", math.nan))),
         [("demo/knowledge/e_sp", "strength must be a finite non-negative number, got nan")],
+    ),
+    # Names that are not str, and enum fields of the wrong type.
+    "list_variation_label": (
+        _demo_with(components=(dataclasses.replace(_P, variations=((["a"], 1),)), _T)),
+        [("demo/P", "variation label ['a'] is not an identifier")],
+    ),
+    "list_entity_id": (
+        SystemSpec("x", components=[_P], env_nodes=[EntityNode(["x"])]),
+        [("x/env/['x']", "environment node ['x'] is not an identifier")],
+    ),
+    "list_entity_id_under_a_permitting_boundary": (
+        SystemSpec(
+            "x",
+            components=[_P],
+            env_nodes=[EntityNode(["x"])],
+            boundary=BoundarySpec(permitted_env_ids=frozenset()),
+        ),
+        [("x/env/['x']", "environment node ['x'] is not an identifier")],
+    ),
+    "list_component_type": (
+        SystemSpec("x", components=[ComponentDecl(["P"], Atomic(Role.PRODUCER, 0))]),
+        [("x/['P']", "component type ['P'] is not an identifier")],
+    ),
+    "none_edge_tail": (
+        _demo_with(edges=(dataclasses.replace(_E_PT, tail=None), _E_SP, _E_TM)),
+        [("demo/edges/e_pt", "unresolved endpoint None")],
+    ),
+    "list_edge_head": (
+        _demo_with(edges=(_E_PT, dataclasses.replace(_E_SP, head=["P"]), _E_TM)),
+        [("demo/edges/e_sp", "unresolved endpoint ['P']")],
+    ),
+    "list_edge_tail_inside_a_subsystem": (
+        _replace_in_farm(edges=(Edge("b_out", ["plot"], "out", _GRAIN),)),
+        [
+            ("estate/edges/e_ft", "nothing inside 'farm' feeds port 'out'"),
+            ("estate/farm/edges/b_out", "unresolved endpoint ['plot']"),
+        ],
+    ),
+    "int_conserved_beside_allow": (
+        _demo_with(boundary=BoundarySpec(frozenset({"grain"}), frozenset({"grain", 3}))),
+        [("demo/boundary", "boundary name 3 is not an identifier")],
+    ),
+    "string_history_policy": (
+        _demo_with(history_policy="record"),
+        [("demo", "history policy must be a HistoryPolicy, got 'record'")],
+    ),
+    "string_sink_scope": (
+        _demo_with(env_nodes=(_S, SinkNode("M", "x"))),
+        [("demo/env/M", "scope must be a Scope, got 'x'")],
+    ),
+    "none_system_id": (
+        _demo_with(id=None),
+        [("None", "system id must be a str, got None")],
     ),
 }
 
@@ -639,3 +703,84 @@ def test_flatten_matches_tree_walk_oracle_on_random_specs():
             if t in got  # subsystem types never materialize as flat nodes
         }
         assert got == leaves
+
+
+_HOSTILE = (None, True, 3, math.nan, ["a"], {"a": 1}, b"a")
+
+
+def _name_and_enum_sites(s):
+    """Each name or enum field of one level: (what, its enum or None, put),
+    where put(value) is the level with that one field replaced."""
+    rep = dataclasses.replace
+
+    def swap(field, old, make):
+        """put for the record ``old`` in the tuple ``field``: make(value)
+        is the record with the value in place."""
+        return lambda v: rep(s, **{field: [make(v) if x is old else x for x in getattr(s, field)]})
+
+    sites = [
+        ("system id", None, lambda v: rep(s, id=v)),
+        ("history policy", HistoryPolicy, lambda v: rep(s, history_policy=v)),
+    ]
+    for c in s.components:
+        type_id = swap("components", c, lambda v, c=c: rep(c, type_id=v))
+        sites.append(("component type", None, type_id))
+        if c.is_atomic:
+            role = swap("components", c, lambda v, c=c: rep(c, body=rep(c.body, role=v)))
+            sites.append(("role", Role, role))
+        for i in range(len(c.variations)):
+            def relabel(v, c=c, i=i):
+                pairs = list(c.variations)
+                pairs[i] = (v, pairs[i][1])
+                return rep(c, variations=pairs)
+
+            sites.append(("variation label", None, swap("components", c, relabel)))
+    for n in s.env_nodes:
+        env_id = swap("env_nodes", n, lambda v, n=n: rep(n, id=v))
+        sites.append(("environment node", None, env_id))
+        if isinstance(n, SourceNode):
+            substance = swap("env_nodes", n, lambda v, n=n: rep(n, substance=v))
+            sites.append(("source substance", None, substance))
+        if isinstance(n, SinkNode):
+            scope = swap("env_nodes", n, lambda v, n=n: rep(n, scope=v))
+            sites.append(("sink scope", Scope, scope))
+    for e in s.edges:
+        for field in ("id", "tail", "head"):
+            end = swap("edges", e, lambda v, e=e, f=field: rep(e, **{f: v}))
+            sites.append((f"edge {field}", None, end))
+        knowledge = lambda v, e=e: rep(e, knowledge=rep(e.knowledge, substance=v))
+        sites.append(("edge substance", None, swap("edges", e, knowledge)))
+    for field in ("allowed_substances", "conserved_substances", "permitted_env_ids"):
+        names = sorted(getattr(s.boundary, field) or ())
+        if names:
+            def rename(v, f=field, rest=names[1:]):
+                return rep(s, boundary=rep(s.boundary, **{f: [v, *rest]}))
+
+            sites.append(("boundary name", None, rename))
+    return sites
+
+
+def test_validate_refuses_hostile_names_and_enums():
+    """One name or enum field of a random model replaced by a value of the
+    wrong type: the constructor raises TypeError, or validate reports it."""
+    rng = random.Random(47)
+    reached, refused = set(), 0
+    for _ in range(400):
+        spec = random_spec(rng, max_depth=2)
+        path, level = rng.choice(list(_levels(spec)))
+        what, enum_type, put = rng.choice(_name_and_enum_sites(level))
+        strings = tuple(member.value for member in enum_type) if enum_type else ()
+        value = rng.choice(_HOSTILE + strings)
+        try:
+            mutant = _replace_at(spec, path, put(value))
+        except TypeError:
+            refused += 1  # a value the constructor cannot sort or store
+            continue
+        assert not validate(mutant).ok, (what, value)
+        reached.add(what)
+    assert refused
+    assert reached == {
+        "system id", "history policy", "component type", "role", "variation label",
+        "environment node", "source substance", "sink scope", "edge id", "edge tail",
+        "edge head", "edge substance", "boundary name",
+    }

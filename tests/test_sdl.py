@@ -134,6 +134,10 @@ DIAGNOSTIC_POSITIONS = {
         'system "d" {\n  entity R\n    boundary { allow=[g] conserve=[h] }\n}\n',
         [(3, 5, "d/boundary: conserved substances not allowed by the boundary: h")],
     ),
+    "retired boundary attribute": (
+        'system "x" { boundary { frozen=false } }',
+        [(1, 25, "unknown boundary attribute 'frozen'")],
+    ),
 }
 
 
