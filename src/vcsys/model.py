@@ -24,8 +24,9 @@ components, edges and environment nodes and stores each as a tuple sorted
 by id, so that structurally equal descriptions compare equal regardless
 of declaration order, and so that downstream output is deterministic.
 Constructors check nothing else: one may raise ``TypeError`` for a value
-it cannot sort or store, such as ids of mixed types at one level, or
-``ValueError`` for a quantity ``float`` cannot read.
+it cannot sort or store, such as ids of mixed types at one level or a
+record of the wrong kind, or ``ValueError`` for a quantity ``float``
+cannot read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import enum
 import functools
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Union
@@ -248,9 +248,11 @@ class ComponentDecl:
     variations: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "variations", tuple(sorted(self.variations, key=lambda v: v[0]))
-        )
+        try:
+            variations = tuple(sorted(self.variations, key=lambda v: v[0]))
+        except LookupError as exc:  # a variation without a label
+            raise TypeError(f"variations must be (label, count) pairs: {exc}") from exc
+        object.__setattr__(self, "variations", variations)
 
     @property
     def is_atomic(self) -> bool:
@@ -276,8 +278,11 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         for field, key in (("components", "type_id"), ("edges", "id"), ("env_nodes", "id")):
-            items = getattr(self, field)
-            object.__setattr__(self, field, tuple(sorted(items, key=attrgetter(key))))
+            try:
+                items = tuple(sorted(getattr(self, field), key=attrgetter(key)))
+            except AttributeError as exc:  # a record of the wrong kind
+                raise TypeError(f"{field}: {exc}") from exc
+            object.__setattr__(self, field, items)
 
     def component(self, type_id: str) -> ComponentDecl | None:
         for comp in self.components:
@@ -323,30 +328,21 @@ def _is_quantity(value: float) -> bool:
 _identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 
-def _last_call(fn: Callable) -> Callable:
-    """Remember ``fn(obj, *args)`` for the last, immutable object it saw.
+def _memo(fn: Callable) -> Callable:
+    """Compute ``fn(obj, *args)`` once per object and arguments.
 
-    The object is matched by identity, as == and hash recurse through whole
-    trees, and held weakly, so its result goes with it. A call reads the
-    slot once and replaces it whole, so threads never see half an entry.
+    As with :class:`functools.cached_property`, the result is kept in the
+    object's ``__dict__``, so it lives exactly as long as the object. Its
+    key holds a dot, which no field or property name can.
     """
-    slot: tuple[weakref.ref, tuple, object] | None = None
-
-    def forget(ref: weakref.ref) -> None:
-        nonlocal slot
-        if (last := slot) is not None and last[0] is ref:
-            slot = None
+    key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn, updated=())
-    def cached(obj, *args):
-        nonlocal slot
-        if (last := slot) is not None and last[0]() is obj and last[1] == args:
-            return last[2]
-        result = fn(obj, *args)
-        slot = (weakref.ref(obj, forget), args, result)
-        return result
+    def memo(obj, *args):
+        results = obj.__dict__.setdefault(key, {})
+        return results[args] if args in results else results.setdefault(args, fn(obj, *args))
 
-    return cached
+    return memo
 
 
 def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> ValidationReport:
@@ -355,8 +351,9 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     Violations come back as data with tree paths; an empty report means the
     description is well-formed: all nesting, graph, boundary and knowledge
     invariants hold, every name is an identifier of the text format, every
-    role, scope and history policy holds its enum, every edge's substance
-    is allowed by the boundary, and every port splices:
+    role, scope and history policy holds its enum, every boundary,
+    environment node, edge and variation is a record of its kind, every
+    edge's substance is allowed by the boundary, and every port splices:
     ``sub.port`` names an entity node of ``sub`` that is fed from inside
     when used as a tail and feeds inside when used as a head, and every
     binding edge inside is used so by the enclosing level.
@@ -365,7 +362,7 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     return _report(spec, max_depth)
 
 
-@_last_call  # so that flatten(parse(text).root) validates the root once
+@_memo  # so that flatten(parse(text).root) validates the root once
 def _report(spec: SystemSpec, max_depth: int) -> ValidationReport:
     out: list[Violation] = []
     env_seen: dict[str, tuple[str, EnvNode]] = {}
@@ -420,6 +417,10 @@ def _validate_level(
             f"nested system level {spec.level} must be parent level + 1"
             f" (= {parent_level + 1})"
         )
+    b = spec.boundary
+    if not isinstance(b, BoundarySpec):
+        bad(f"boundary must be a BoundarySpec, got {b!r}", f"{path}/boundary")
+        b = BoundarySpec()  # restricts nothing, so checks nothing further
 
     # Component declarations.
     seen_types: dict[str, ComponentDecl] = {}
@@ -431,13 +432,19 @@ def _validate_level(
         if type(comp.multiplicity) is not int or comp.multiplicity < 1:
             bad(f"multiplicity must be a positive integer, got {comp.multiplicity!r}", cpath)
         if comp.variations:
-            for label, _ in comp.variations:
+            pairs = []
+            for variation in comp.variations:
+                if isinstance(variation, tuple) and len(variation) == 2:
+                    pairs.append(variation)
+                else:
+                    bad(f"variation must be a (label, count) pair, got {variation!r}", cpath)
+            for label, _ in pairs:
                 name(label, "variation label", cpath)
-            labels = [label for label, _ in comp.variations if isinstance(label, str)]
+            labels = [label for label, _ in pairs if isinstance(label, str)]
             if len(set(labels)) != len(labels):
                 bad("variation labels must be distinct", cpath)
-            counts = [count for _, count in comp.variations if type(count) is int]
-            for _, count in comp.variations:
+            counts = [count for _, count in pairs if type(count) is int]
+            for _, count in pairs:
                 if type(count) is not int:
                     bad(f"variation count must be an integer, got {count!r}", cpath)
             if any(count < 1 for count in counts):
@@ -466,6 +473,10 @@ def _validate_level(
     env_by_id: dict[str, EnvNode] = {}
     for node in spec.env_nodes:
         epath = f"{path}/env/{node.id}"
+        if not isinstance(node, EnvNode):
+            kinds = "a SourceNode, SinkNode or EntityNode"
+            bad(f"environment node must be {kinds}, got {node!r}", epath)
+            continue
         keyed = claim(node.id, "environment node", epath, env_by_id, node)
         if isinstance(node, SourceNode):
             name(node.substance, "substance", epath)
@@ -481,7 +492,7 @@ def _validate_level(
             bad(f"scope must be a Scope, got {node.scope!r}", epath)
         if not keyed:
             continue
-        if not spec.boundary.permits_env(node.id):
+        if not b.permits_env(node.id):
             bad(f"environment node {node.id!r} is not permitted by the boundary", epath)
         prior = env_seen.get(node.id)
         if prior is None:
@@ -494,7 +505,6 @@ def _validate_level(
             )
 
     # Boundary.
-    b = spec.boundary
     names = {*(b.allowed_substances or ()), *b.conserved_substances, *(b.permitted_env_ids or ())}
     for value in sorted(names, key=repr):
         name(value, "boundary name", f"{path}/boundary")
@@ -516,7 +526,9 @@ def _validate_level(
             n.id: {} for n in sub.env_nodes if isinstance(n, EntityNode) and isinstance(n.id, str)
         }
         for edge in sub.edges:
-            if not (isinstance(edge.tail, str) and isinstance(edge.head, str)):
+            if not (
+                isinstance(edge, Edge) and isinstance(edge.tail, str) and isinstance(edge.head, str)
+            ):
                 continue  # reported where the subsystem is validated
             head_base, _ = split_endpoint(edge.head)
             tail_base, _ = split_endpoint(edge.tail)
@@ -548,8 +560,13 @@ def _validate_level(
     # environment endpoint is an interface edge: sources feed in, sinks
     # drain out.
     edge_ids: dict[str, Edge] = {}
+    edges: list[Edge] = []
     for edge in spec.edges:
         epath = f"{path}/edges/{edge.id}"
+        if not isinstance(edge, Edge):
+            bad(f"edge must be an Edge, got {edge!r}", epath)
+            continue
+        edges.append(edge)
         claim(edge.id, "edge id", epath, edge_ids, edge)
         if not (isinstance(edge.tail, str) and isinstance(edge.head, str)):
             for ref in (edge.tail, edge.head):
@@ -590,7 +607,7 @@ def _validate_level(
         check_internal_ref(internal_ref, internal_side, epath)
 
     # Flow attributes, in edge-id order.
-    for edge in spec.edges:
+    for edge in edges:
         kpath = f"{path}/knowledge/{edge.id}"
         entry = edge.knowledge
         if not isinstance(entry, EdgeKnowledge):
@@ -601,7 +618,7 @@ def _validate_level(
             bad(f"capacity must be a finite non-negative quantity, got {entry.capacity!r}", kpath)
         if not _is_quantity(entry.strength):
             bad(f"strength must be a finite non-negative number, got {entry.strength!r}", kpath)
-        if isinstance(entry.substance, str) and not spec.boundary.allows(entry.substance):
+        if isinstance(entry.substance, str) and not b.allows(entry.substance):
             bad(
                 f"substance {entry.substance!r} is not allowed by the boundary",
                 kpath,

@@ -21,7 +21,7 @@ replay, a stock or delivery counter that is not finite raises
 ``step`` refuses a state that no run can reach.
 
 Every entry point reads one plan of a graph's edges, and the graph's hash
-is computed once: both are kept for the last graph seen and dropped with it.
+is computed once: both are kept on the graph and dropped with it.
 
 Each log line is exactly ``json.dumps`` of the header's or the record's
 fields with its defaults: keys in field order, ``", "`` and ``": "`` as
@@ -38,14 +38,14 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .export import flat_graph_json
 from .flatten import FlatGraph
-from .model import HistoryPolicy, SinkNode, SourceNode, VcsysError, _last_call
+from .model import HistoryPolicy, SinkNode, SourceNode, VcsysError, _memo
 
 __all__ = [
     "InconsistentState",
@@ -85,7 +85,7 @@ class NullHistory(VcsysError):
     """The requested operation needs records, but the history is null."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
     """One flow event: at `tick`, `amount` moved along `edge`."""
 
@@ -117,7 +117,7 @@ class SimulationState:
     sink_received: dict[tuple[str, str], float]
 
 
-@_last_call
+@_memo
 def model_hash(flat: FlatGraph) -> str:
     """Stable content hash of a flattened graph."""
     payload = json.dumps(flat_graph_json(flat), sort_keys=True, separators=(",", ":"))
@@ -193,7 +193,7 @@ class _Plan:
         return SimulationState(0, stocks, received)
 
 
-_plan = _last_call(_Plan)  # one plan per graph, for every entry point
+_plan = _memo(_Plan)  # one plan per graph, for every entry point
 
 
 def _by_id(flow: _Flow) -> str:
@@ -444,7 +444,7 @@ def write_log(log: HistoryLog, target: str | Path | IO[str]) -> None:
 
 
 def _record_lines(records: Iterable[TransitionRecord]) -> Iterator[str]:
-    """``json.dumps(vars(record))`` and a newline, per record.
+    """``json.dumps(asdict(record))`` and a newline, per record.
 
     For an exact int tick, a str edge and a finite float amount, json
     writes ``repr`` of the numbers, so such records are formatted directly,
@@ -460,7 +460,7 @@ def _record_lines(records: Iterable[TransitionRecord]) -> Iterator[str]:
                 e = quoted.get(edge) or quoted.setdefault(edge, quote(edge))
                 yield f'{{"tick": {tick!r}, "edge": {e}, "amount": {amount!r}}}\n'
                 continue
-        yield json.dumps(vars(record)) + "\n"
+        yield json.dumps(asdict(record)) + "\n"
 
 
 # A record line of exactly the shape write_log gives a plain record, read
@@ -478,11 +478,13 @@ _record_line = re.compile(
 def _parse_log_lines(lines: Iterable[str], source: str) -> HistoryLog:
     header: LogHeader | None = None
     records: list[TransitionRecord] = []
+    edges: dict[str, str] = {}  # one string per distinct edge, shared by its records
     number = 0
     try:
         for number, line in enumerate(lines, 1):
             if header is not None and (fast := _record_line(line)):
                 tick, edge, amount = fast.groups()
+                edge = edges.setdefault(edge, edge)
                 records.append(TransitionRecord(int(tick), edge, float(amount)))
                 continue
             if not line.strip():

@@ -390,6 +390,48 @@ VALIDATE_RULES = {
         _demo_with(id=None),
         [("None", "system id must be a str, got None")],
     ),
+    # Records of the wrong kind, each refused and then left out.
+    "none_boundary": (
+        SystemSpec("x", boundary=None),
+        [("x/boundary", "boundary must be a BoundarySpec, got None")],
+    ),
+    "int_boundary": (
+        _demo_with(boundary=5),
+        [("demo/boundary", "boundary must be a BoundarySpec, got 5")],
+    ),
+    "variation_without_count": (
+        _demo_with(components=(dataclasses.replace(_P, variations=(("a",),)), _T)),
+        [("demo/P", "variation must be a (label, count) pair, got ('a',)")],
+    ),
+    "variation_of_three": (
+        _demo_with(components=(dataclasses.replace(_P, variations=(("a", 1, 2),)), _T)),
+        [("demo/P", "variation must be a (label, count) pair, got ('a', 1, 2)")],
+    ),
+    "source_among_edges": (
+        SystemSpec("x", edges=[SourceNode("S", 1, "g")]),
+        [("x/edges/S", "edge must be an Edge, got SourceNode(id='S', rate=1.0, substance='g')")],
+    ),
+    "edge_among_env_nodes": (
+        SystemSpec("x", env_nodes=[Edge("e", "a", "b", EdgeKnowledge(1, "g"))]),
+        [
+            (
+                "x/env/e",
+                "environment node must be a SourceNode, SinkNode or EntityNode, got"
+                " Edge(id='e', tail='a', head='b',"
+                " knowledge=EdgeKnowledge(capacity=1.0, substance='g', strength=1.0))",
+            )
+        ],
+    ),
+    "source_among_edges_inside_a_subsystem": (
+        _replace_in_farm(edges=(SourceNode("b_out", 1, "grain"),)),
+        [
+            ("estate/edges/e_ft", "nothing inside 'farm' feeds port 'out'"),
+            (
+                "estate/farm/edges/b_out",
+                "edge must be an Edge, got SourceNode(id='b_out', rate=1.0, substance='grain')",
+            ),
+        ],
+    ),
 }
 
 
@@ -425,6 +467,22 @@ def test_validate_reports_names_the_text_format_cannot_hold():
     ]
     with pytest.raises(InvalidSpec):
         flatten(spec)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SystemSpec("x", env_nodes=["S"]), "env_nodes"),
+        (lambda: SystemSpec("x", components=[None]), "components"),
+        (lambda: SystemSpec("x", edges=[None]), "edges"),
+        (lambda: ComponentDecl("P", Atomic(Role.PRODUCER, 0), 1, ("",)), "variations"),
+        (lambda: ComponentDecl("P", Atomic(Role.PRODUCER, 0), 1, ((),)), "variations"),
+    ],
+    ids=["str_env_node", "none_component", "none_edge", "str_variation", "empty_variation"],
+)
+def test_constructors_raise_type_error_naming_the_field(build, field):
+    with pytest.raises(TypeError, match=f"^{field}"):
+        build()
 
 
 # --- depth & navigation -----------------------------------------------------

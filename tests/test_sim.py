@@ -47,9 +47,10 @@ from vcsys import (
     replay,
     run,
     step,
+    validate,
     write_log,
 )
-from vcsys import sim
+from vcsys import model, sim
 
 from .helpers import demo_chain_spec, random_flow_model
 from .oracles import reference_run
@@ -515,6 +516,31 @@ def test_one_plan_and_one_hash_per_graph(monkeypatch):
     assert len(hashed) == 1 and hashed[0] is flat
 
 
+def test_alternating_objects_each_compute_once(monkeypatch):
+    built, hashed, checked = [], [], []
+    build, graph_json, check = sim._Plan.__init__, sim.flat_graph_json, model._validate_level
+    monkeypatch.setattr(sim._Plan, "__init__", lambda plan, g: built.append(g) or build(plan, g))
+    monkeypatch.setattr(sim, "flat_graph_json", lambda g: hashed.append(g) or graph_json(g))
+    monkeypatch.setattr(
+        model, "_validate_level", lambda spec, *rest: checked.append(spec) or check(spec, *rest)
+    )
+    specs = [demo_chain_spec(), contention_spec()]
+    for _ in range(3):
+        for spec in specs:
+            assert validate(spec).ok
+    assert checked == specs
+    flats = [flatten(spec) for spec in specs]
+    states = [init_state(flat) for flat in flats]
+    for _ in range(3):
+        for i, flat in enumerate(flats):
+            final, log = run(flat, 3)
+            assert replay(flat, log) == final
+            assert conservation_check(flat, final, log).ok
+            states[i], _ = step(states[i], flat)
+    assert built == hashed == flats
+    assert checked == specs
+
+
 def test_the_cache_keeps_no_graph_alive(monkeypatch):
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -561,6 +587,16 @@ RECORD = '{"tick": 0, "edge": "e_sp#1", "amount": 4.0}\n'
 
 def test_record_constant_takes_the_fast_path():
     assert sim._record_line(RECORD).groups() == ("0", "e_sp#1", "4.0")
+
+
+def test_read_log_records_share_one_string_per_edge():
+    _, log = run(flatten(demo_chain_spec()), 5)
+    buffer = io.StringIO()
+    write_log(log, buffer)
+    records = read_log(io.StringIO(buffer.getvalue())).records
+    edges = {id(r.edge) for r in records}
+    assert len(edges) == len({r.edge for r in records}) < len(records)
+    assert not hasattr(records[0], "__dict__")
 
 
 @pytest.mark.parametrize(
@@ -671,7 +707,9 @@ def test_write_log_matches_json_dumps_per_record(records):
     buffer = io.StringIO()
     write_log(log, buffer)
     header = '{"model_hash": "h", "steps": 1}\n'
-    assert buffer.getvalue() == header + "".join(json.dumps(vars(r)) + "\n" for r in records)
+    assert buffer.getvalue() == header + "".join(
+        json.dumps(dataclasses.asdict(r)) + "\n" for r in records
+    )
 
 
 def _read_outcomes(text):
