@@ -28,36 +28,13 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 
-def _max_depth() -> int:
-    raw = os.environ.get("VCSYS_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(_EXIT_USAGE) from None
-    return value
-
-
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
-
-
 def _emit(text: str, output: str | None) -> None:
+    text += "" if text.endswith("\n") else "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fp:
             fp.write(text)
-            if not text.endswith("\n"):
-                fp.write("\n")
 
 
 def _print_diagnostics(path: str, doc: SdlDocument) -> None:
@@ -66,7 +43,10 @@ def _print_diagnostics(path: str, doc: SdlDocument) -> None:
 
 
 def _load(path: str, max_depth: int) -> SdlDocument:
-    return parse(_read_input(path), max_depth=max_depth)
+    if path == "-":
+        return parse(sys.stdin.read(), max_depth=max_depth)
+    with open(path, "r", encoding="utf-8") as fp:
+        return parse(fp.read(), max_depth=max_depth)
 
 
 def _json_dumps(payload: Any) -> str:
@@ -306,8 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        max_depth = _max_depth()
-    except SystemExit:
+        max_depth = int(os.environ.get("VCSYS_MAX_DEPTH", DEFAULT_MAX_DEPTH))
+        if max_depth < 0:
+            raise ValueError
+    except ValueError:
         sys.stderr.write("VCSYS_MAX_DEPTH must be a non-negative integer\n")
         return _EXIT_USAGE
     try:

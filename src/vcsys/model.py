@@ -315,8 +315,9 @@ class InvalidSpec(VcsysError):
 
     def __init__(self, report: ValidationReport) -> None:
         first, count = report.violations[0], len(report.violations)
+        where = f"{first.path}: " if first.path else ""  # a root of the wrong kind has none
         more = f" (and {count - 1} more)" if count > 1 else ""
-        super().__init__(f"{first.path}: {first.message}{more}")
+        super().__init__(f"{where}{first.message}{more}")
         self.report = report
 
 
@@ -353,12 +354,16 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     invariants hold, every name is an identifier of the text format, every
     role, scope and history policy holds its enum, every boundary,
     environment node, edge and variation is a record of its kind, every
-    edge's substance is allowed by the boundary, and every port splices:
+    edge's substance is allowed by the boundary, every nested system's id
+    is its component type id, and every port splices:
     ``sub.port`` names an entity node of ``sub`` that is fed from inside
     when used as a tail and feeds inside when used as a head, and every
     binding edge inside is used so by the enclosing level.
-    Arbitrary candidate descriptions are accepted; nothing raises.
+    Arbitrary candidate descriptions are accepted, and a root that is not
+    a :class:`SystemSpec` is one violation at the empty path; nothing raises.
     """
+    if not isinstance(spec, SystemSpec):
+        return ValidationReport((Violation("", f"description must be a SystemSpec, got {spec!r}"),))
     return _report(spec, max_depth)
 
 
@@ -466,6 +471,12 @@ def _validate_level(
         elif isinstance(comp.body, SystemSpec):
             if keyed:
                 subsystems[comp.type_id] = comp.body
+            if keyed and isinstance(comp.body.id, str) and comp.body.id != comp.type_id:
+                bad(
+                    f"nested system id {comp.body.id!r} must equal its component type"
+                    f" {comp.type_id!r}",
+                    cpath,
+                )
         else:
             bad(f"body must be Atomic or SystemSpec, got {comp.body!r}", cpath)
 

@@ -36,10 +36,9 @@ taken after the whitespace and comments before it; tokens are their
 plain texts. The parser keeps token indices, which become offsets and
 then 1-based line and column only for the diagnostics ``parse`` reports.
 
-The textual form has one name per nested system (the component's type
-id), so descriptions built in code round-trip exactly when each nested
-system's id equals its component type id; the parser always produces
-such descriptions.
+The textual form has one name per nested system, the component's type
+id. ``validate`` requires each nested system's id to equal it, so a
+valid description built in code reparses with the ids it was built with.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ was declared with a null history policy, in which case the trajectory is
 identical but nothing is remembered. A record names a tick, an edge and
 an amount; a log's header names the model by its hash, which pins down
 everything else, and the number of ticks. A history replays against its
-model to the final state bit for bit. After each tick of a run or a
-replay, a stock or delivery counter that is not finite raises
+model to the final state bit for bit, one tick at a time in the order
+it was written; a log whose ticks go down is refused. After each tick of
+a run or a replay, a stock or delivery counter that is not finite raises
 :class:`VcsysError` and a stock below zero :class:`NegativeStock`;
 ``step`` refuses a state that no run can reach.
 
@@ -39,7 +40,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -229,8 +230,9 @@ def _ration(pool: float, group: list[_Flow], total: float, integral: bool) -> li
     ]
 
 
-def _apply(flows: Iterable[_Flow], stocks: _Stocks, received: _Stocks) -> None:
-    """Move each flow's amount out of its drawn stock and into its target."""
+def _advance(flows: Iterable[_Flow], stocks: _Stocks, received: _Stocks, tick: int) -> None:
+    """Move each flow out of its drawn stock and into its target, in order;
+    then refuse the state the tick left: a value not finite or below zero."""
     for route, amount in flows:
         if route.draw is not None:
             stocks[route.draw] = stocks.get(route.draw, 0.0) - amount
@@ -238,6 +240,14 @@ def _apply(flows: Iterable[_Flow], stocks: _Stocks, received: _Stocks) -> None:
             stocks[route.fill] = stocks.get(route.fill, 0.0) + amount
         elif route.sink is not None:
             received[route.sink] = received.get(route.sink, 0.0) + amount
+    # A sum and a min per table catch any inf, nan or negative; only then is each value read.
+    for what, table in (("stock", stocks), ("delivery counter", received)):
+        if not math.isfinite(sum(table.values())) or min(table.values(), default=0.0) < 0:
+            for key, value in table.items():
+                if not math.isfinite(value):
+                    raise VcsysError(f"tick {tick}: {what} {key} overflowed to {value}")
+                if value < 0:
+                    raise NegativeStock(f"tick {tick}: {what} {key} fell to {value}")
 
 
 def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks, tick: int) -> list[_Flow]:
@@ -254,21 +264,8 @@ def _tick(plan: _Plan, stocks: _Stocks, received: _Stocks, tick: int) -> list[_F
         elif pool > 0:
             flows.extend(_ration(pool, group, wanted, integral))
     flows.sort(key=_by_id)
-    _apply(flows, stocks, received)
-    _check_tick(stocks, received, tick)
+    _advance(flows, stocks, received, tick)
     return flows
-
-
-def _check_tick(stocks: _Stocks, received: _Stocks, tick: int) -> None:
-    """Refuse the state a tick left: a value not finite, or one below zero."""
-    # A sum and a min per table catch any inf, nan or negative; only then is each value read.
-    for what, table in (("stock", stocks), ("delivery counter", received)):
-        if not math.isfinite(sum(table.values())) or min(table.values(), default=0.0) < 0:
-            for key, value in table.items():
-                if not math.isfinite(value):
-                    raise VcsysError(f"tick {tick}: {what} {key} overflowed to {value}")
-                if value < 0:
-                    raise NegativeStock(f"tick {tick}: {what} {key} fell to {value}")
 
 
 def step(
@@ -330,10 +327,12 @@ def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
 def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
     """Reapply a recorded history to reproduce the run's final state.
 
+    One pass in log order checks and applies each tick's records in turn.
     Every record must name an edge of the model, fall inside the logged
-    ticks and move a positive amount no larger than a run moves along that
-    edge in one tick: the source's amount on a source edge, the capacity
-    on an edge drawing on an actor's stock, and nothing on any other.
+    ticks, come no earlier than the record before it and move a positive
+    amount no larger than a run moves along that edge in one tick: the
+    source's amount on a source edge, the capacity on an edge drawing on
+    an actor's stock, and nothing on any other.
     """
     if log.header.model_hash != model_hash(flat):
         raise HashMismatch("history was recorded against a different model")
@@ -341,23 +340,25 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
         raise NullHistory("a null history has no records to replay")
     plan = _plan(flat)
     end = log.header.steps
-    by_tick: dict[int, list[_Flow]] = {}
-    for record in log.records:
-        route = plan.routes.get(record.edge)
-        if route is None:
-            raise InconsistentState(f"record references unknown edge {record.edge!r}")
-        if not 0 <= record.tick < end:
-            problem = f"lies outside ticks [0, {end})"
-        elif not 0 < record.amount <= route.most:
-            problem = f"has amount {record.amount}, outside (0, {route.most}]"
-        else:
-            by_tick.setdefault(record.tick, []).append((route, record.amount))
-            continue
-        raise InconsistentState(f"record at tick {record.tick} on edge {record.edge!r} {problem}")
-    state = plan.zero_state()
-    for tick in sorted(by_tick):
-        _apply(by_tick[tick], state.stocks, state.sink_received)
-        _check_tick(state.stocks, state.sink_received, tick)
+    state, last = plan.zero_state(), 0
+    for tick, records in groupby(log.records, lambda record: record.tick):
+        flows = []
+        for record in records:
+            route = plan.routes.get(record.edge)
+            if route is None:
+                raise InconsistentState(f"record references unknown edge {record.edge!r}")
+            if not 0 <= record.tick < end:
+                problem = f"lies outside ticks [0, {end})"
+            elif record.tick < last:
+                problem = f"comes after tick {last}"
+            elif not 0 < record.amount <= route.most:
+                problem = f"has amount {record.amount}, outside (0, {route.most}]"
+            else:
+                flows.append((route, record.amount))
+                continue
+            raise InconsistentState(f"record at tick {record.tick} on edge {record.edge!r} {problem}")
+        _advance(flows, state.stocks, state.sink_received, tick)
+        last = tick
     return replace(state, tick=end)
 
 

@@ -216,6 +216,11 @@ def _replace_in_farm(**changes):
     )
 
 
+def _estate_body(system_id):
+    """A one-producer system one level down, named `system_id`."""
+    return SystemSpec(system_id, level=1, components=[ComponentDecl("g", _P.body)])
+
+
 _FARM_WITHOUT_PORT = dataclasses.replace(
     nested_two_level_spec(),
     edges=(
@@ -390,6 +395,14 @@ VALIDATE_RULES = {
         _demo_with(id=None),
         [("None", "system id must be a str, got None")],
     ),
+    "nested_system_id_not_its_component_type": (
+        SystemSpec("root", components=[ComponentDecl("farm", _estate_body("estate"))]),
+        [("root/farm", "nested system id 'estate' must equal its component type 'farm'")],
+    ),
+    "int_nested_system_id": (
+        SystemSpec("root", components=[ComponentDecl("farm", _estate_body(5))]),
+        [("root/farm", "system id must be a str, got 5")],
+    ),
     # Records of the wrong kind, each refused and then left out.
     "none_boundary": (
         SystemSpec("x", boundary=None),
@@ -430,6 +443,19 @@ VALIDATE_RULES = {
                 "estate/farm/edges/b_out",
                 "edge must be an Edge, got SourceNode(id='b_out', rate=1.0, substance='grain')",
             ),
+        ],
+    ),
+    # A root that is not a description at all.
+    "none_root": (None, [("", "description must be a SystemSpec, got None")]),
+    "string_root": ("x", [("", "description must be a SystemSpec, got 'x'")]),
+    "atomic_root": (
+        Atomic(Role.PRODUCER, 0),
+        [
+            (
+                "",
+                "description must be a SystemSpec,"
+                " got Atomic(role=<Role.PRODUCER: 'producer'>, tier=0)",
+            )
         ],
     ),
 }
@@ -651,6 +677,11 @@ def test_flatten_rejects_invalid_spec_with_typed_error(spec):
         flatten(spec)
     assert exc.value.report == validate(spec)
     assert not exc.value.report.ok
+
+
+def test_flatten_names_a_root_that_is_not_a_description_without_a_path():
+    with pytest.raises(InvalidSpec, match=r"^description must be a SystemSpec, got None$"):
+        flatten(None)
 
 
 def _levels(spec, path=()):

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -52,7 +53,7 @@ from vcsys import (
 )
 from vcsys import model, sim
 
-from .helpers import demo_chain_spec, random_flow_model
+from .helpers import demo_chain_spec, fan_spec, random_flow_model
 from .oracles import reference_run
 
 
@@ -496,6 +497,38 @@ def test_replay_refuses_a_log_that_overflows_a_stock():
     forged = HistoryLog(LogHeader(model_hash(flat), 2), records)
     with pytest.raises(VcsysError, match=r"^tick 1: stock \('P#1', 'grain'\) overflowed to inf$"):
         replay(flat, forged)
+
+
+def test_replay_refuses_ticks_that_go_down():
+    flat = flatten(demo_chain_spec())
+    _, log = run(flat, 3)
+    t0, t1, t2 = ([r for r in log.records if r.tick == t] for t in range(3))
+    assert [r.edge for r in t1] == ["e_pt#1", "e_sp#1"]
+    cases = [
+        # The two first ticks reversed: tick 1 alone applies cleanly.
+        ((*t1, *t0), "record at tick 0 on edge 'e_sp#1' comes after tick 1"),
+        # Tick 1 split around tick 2.
+        ((*t0, t1[0], *t2, t1[1]), "record at tick 1 on edge 'e_sp#1' comes after tick 2"),
+    ]
+    for records, message in cases:
+        with pytest.raises(InconsistentState, match=f"^{message}$"):
+            replay(flat, dataclasses.replace(log, records=records))
+
+
+def test_replay_holds_one_tick_of_flows():
+    flat = flatten(fan_spec(200, 50))
+    peaks = []
+    for steps in (10, 40):
+        _, log = run(flat, steps)
+        replay(flat, log)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            replay(flat, log)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 # --- one plan per graph -----------------------------------------------------
