@@ -1,9 +1,10 @@
 """Expansion of a nested description into one runnable graph.
 
 Flattening materializes every component instance (multiplicity copies,
-numbered ``type#k`` depth-first from 1), recurses through subsystem
-bodies, and splices subsystem port connections into direct edges. The
-result is the atomic-level graph the simulator and the analyses consume.
+numbered ``type#k`` depth-first from 1, each subsystem copy just before
+its body), recurses through subsystem bodies, and splices subsystem port
+connections into direct edges. The result is the atomic-level graph the
+simulator and the analyses consume.
 
 Splicing follows the port convention: a subsystem exports connection
 points by declaring entity-kind environment nodes and wiring interface
@@ -19,13 +20,14 @@ raises :class:`vcsys.model.InvalidSpec` carrying the full report, so the
 expansion itself never meets a malformed description.
 
 Edges multiply out as the Cartesian product of their endpoints'
-instances; an expanded edge is an :class:`vcsys.model.Edge` numbered
-``edgeid#k`` the same way nodes are, between instance ids, carrying the
-flow attributes of the edge it expands. A level's edges are one tuple;
-each is read as network or interface from its endpoints, and a level
-expands its network edges before its interface edges, each in id order.
-Everything is deterministic: two calls on the same description produce
-identical graphs, ordering included.
+instances: an environment endpoint stands for itself, a port for what
+stands behind it. An expanded edge is an :class:`vcsys.model.Edge`
+numbered ``edgeid#k`` the same way nodes are, between instance ids,
+carrying the flow attributes of the edge it expands. A level's edges are
+one tuple; each is read as network or interface from its endpoints, and
+a level expands its network edges before its interface edges, each in id
+order. Everything is deterministic: two calls on the same description
+produce identical graphs, ordering included.
 """
 
 from __future__ import annotations
@@ -105,60 +107,45 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
     report = validate(spec, max_depth)
     if not report.ok:
         raise InvalidSpec(report)
-    type_counter: defaultdict[str, int] = defaultdict(int)
+    node_counter: defaultdict[str, int] = defaultdict(int)
     edge_counter: defaultdict[str, int] = defaultdict(int)
     nodes: list[FlatNode] = []
     edges: list[Edge] = []
     env_seen: dict[str, EnvNode] = {}
 
-    def new_instance(type_id: str) -> str:
-        type_counter[type_id] += 1
-        return f"{type_id}#{type_counter[type_id]}"
-
-    def emit_edge(edge: Edge, tail: str, head: str) -> None:
-        edge_counter[edge.id] += 1
-        edges.append(Edge(f"{edge.id}#{edge_counter[edge.id]}", tail, head, edge.knowledge))
-
-    def variation_labels(count: int, variations) -> list[str | None]:
-        if not variations:
-            return [None] * count
-        labels: list[str | None] = []
-        for label, n in variations:
-            labels.extend([label] * n)
-        return labels
+    def number(counter: defaultdict[str, int], key: str) -> str:
+        counter[key] += 1
+        return f"{key}#{counter[key]}"
 
     def expand(s: SystemSpec, path: tuple[str, ...], is_root: bool) -> _Ports:
         env_nodes = {n.id: n for n in s.env_nodes}
-        atoms: dict[str, list[str]] = {}
+        # The flat ids behind each actor, and each environment node (itself).
+        flat_ids: dict[str, list[str]] = {env_id: [env_id] for env_id in env_nodes}
         subs: dict[str, list[_Ports]] = {}
 
         for comp in s.components:
-            labels = variation_labels(comp.multiplicity, comp.variations)
+            # Sized before any copy is numbered: a huge multiplicity fails at once.
+            labels = [None] * comp.multiplicity
+            if comp.variations:
+                labels = [label for label, n in comp.variations for _ in range(n)]
             if comp.is_atomic:
-                ids = []
-                for k in range(comp.multiplicity):
-                    iid = new_instance(comp.type_id)
-                    nodes.append(
-                        FlatNode(iid, comp.body.role, comp.body.tier, path, labels[k])
-                    )
+                ids = flat_ids[comp.type_id] = []
+                for label in labels:
+                    iid = number(node_counter, comp.type_id)
+                    nodes.append(FlatNode(iid, comp.body.role, comp.body.tier, path, label))
                     ids.append(iid)
-                atoms[comp.type_id] = ids
             else:
-                results = []
-                for k in range(comp.multiplicity):
-                    iid = new_instance(comp.type_id)
-                    results.append(expand(comp.body, path + (iid,), False))
-                subs[comp.type_id] = results
+                children = subs[comp.type_id] = []
+                for _ in labels:
+                    iid = number(node_counter, comp.type_id)
+                    children.append(expand(comp.body, path + (iid,), False))
 
         def resolve(ref: str, side: str) -> list[str]:
             """Flat endpoints an edge endpoint stands for. side: tail|head."""
             base, port = split_endpoint(ref)
-            if base in atoms:
-                return atoms[base]
-            resolved: list[str] = []
-            for child_ports in subs[base]:
-                resolved.extend(child_ports[port][side])
-            return resolved
+            if port is None:
+                return flat_ids[base]
+            return [iid for child_ports in subs[base] for iid in child_ports[port][side]]
 
         ports: _Ports = {}
 
@@ -168,14 +155,7 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
             ((_env_end(e, env_nodes), e) for e in s.edges), key=lambda c: c[0] is not None
         )
         for env_id, edge in classified:
-            if env_id is None:
-                heads = resolve(edge.head, "head")
-                for tail in resolve(edge.tail, "tail"):
-                    for head in heads:
-                        emit_edge(edge, tail, head)
-                continue
-            env_node = env_nodes[env_id]
-            if isinstance(env_node, EntityNode) and not is_root:
+            if env_id is not None and not is_root and isinstance(env_nodes[env_id], EntityNode):
                 # Exported port: remember what stands behind it, emit nothing.
                 binding = ports.setdefault(env_id, {"tail": [], "head": []})
                 if edge.head == env_id:
@@ -183,18 +163,15 @@ def flatten(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> FlatGraph:
                 else:
                     binding["head"].extend(resolve(edge.head, "head"))
                 continue
-            env_seen.setdefault(env_id, env_node)
-            if edge.tail == env_id:
-                for head in resolve(edge.head, "head"):
-                    emit_edge(edge, env_id, head)
-            else:
-                for tail in resolve(edge.tail, "tail"):
-                    emit_edge(edge, tail, env_id)
+            heads = resolve(edge.head, "head")
+            for tail in resolve(edge.tail, "tail"):
+                for head in heads:
+                    edges.append(Edge(number(edge_counter, edge.id), tail, head, edge.knowledge))
 
-        # Declared environment objects survive flattening even without
+        # Declared environment objects survive flattening, with or without
         # edges; only bound ports splice away.
         for node in s.env_nodes:
-            if not (isinstance(node, EntityNode) and node.id in ports):
+            if node.id not in ports:
                 env_seen.setdefault(node.id, node)
 
         return ports

@@ -113,6 +113,15 @@ class HistoryPolicy(enum.Enum):
     NULL = "null"
 
 
+def _store_float(record: object, field: str) -> None:
+    """Store a quantity field as a float; an int too large for one is a
+    ValueError naming the field."""
+    try:
+        object.__setattr__(record, field, float(getattr(record, field)))
+    except OverflowError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Atomic:
     """Body of a component that needs no further decomposition."""
@@ -130,8 +139,8 @@ class EdgeKnowledge:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "capacity", float(self.capacity))
-        object.__setattr__(self, "strength", float(self.strength))
+        _store_float(self, "capacity")
+        _store_float(self, "strength")
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,7 @@ class SourceNode:
     substance: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", float(self.rate))
+        _store_float(self, "rate")
 
 
 @dataclass(frozen=True)
@@ -359,12 +368,17 @@ def validate(spec: SystemSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> Validation
     ``sub.port`` names an entity node of ``sub`` that is fed from inside
     when used as a tail and feeds inside when used as a head, and every
     binding edge inside is used so by the enclosing level.
-    Arbitrary candidate descriptions are accepted, and a root that is not
-    a :class:`SystemSpec` is one violation at the empty path; nothing raises.
+    Arbitrary candidate descriptions are accepted and nothing raises: a
+    root that is not a :class:`SystemSpec` is one violation at the empty
+    path, and a description nested deeper than the interpreter's stack
+    lets the check walk is one violation at the root's path.
     """
     if not isinstance(spec, SystemSpec):
         return ValidationReport((Violation("", f"description must be a SystemSpec, got {spec!r}"),))
-    return _report(spec, max_depth)
+    try:
+        return _report(spec, max_depth)
+    except RecursionError:
+        return ValidationReport((Violation(f"{spec.id}", "nesting is too deep to validate"),))
 
 
 @_memo  # so that flatten(parse(text).root) validates the root once

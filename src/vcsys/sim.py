@@ -388,8 +388,12 @@ def conservation_check(
 
     Integer runs must balance exactly; real-valued runs within
     ``1e-9 * max(1, |emitted|)``, as rounding grows with the amounts moved.
-    Needs the complete history of the run that produced `state`.
+    Needs the complete history of the run that produced `state`, so a log
+    recorded against another model or naming an edge the model lacks is
+    refused, as :func:`replay` refuses it.
     """
+    if log.header.model_hash != model_hash(flat):
+        raise HashMismatch("history was recorded against a different model")
     if flat.history_policy is HistoryPolicy.NULL and log.header.steps > 0:
         raise NullHistory("conservation needs the complete flow history")
     plan = _plan(flat)
@@ -397,26 +401,28 @@ def conservation_check(
     # One pass over the records: per conserved substance, every amount and
     # the emitted ones, each in record order, which the float sums keep.
     # An edge of a conserved substance feeds its bucket's first list, and
-    # the second too when it carries a source flow.
+    # the second too when it carries a source flow; any other edge feeds none.
     buckets: dict[str, tuple[list[float], list[float]]] = {
         substance: ([], []) for substance in flat.conserved
     }
     lists: dict[str, tuple[list[float], ...]] = {}
     for route in plan.routes.values():
-        bucket = buckets.get(route.substance)
-        if bucket is not None:
-            lists[route.id] = bucket if route.id in emitting else bucket[:1]
-    for record in log.records:
-        for amounts in lists.get(record.edge, ()):
-            amounts.append(record.amount)
+        bucket = buckets.get(route.substance, ())
+        lists[route.id] = bucket if route.id in emitting else bucket[:1]
+    try:
+        for record in log.records:
+            for amounts in lists[record.edge]:
+                amounts.append(record.amount)
+    except KeyError:
+        raise InconsistentState(f"record references unknown edge {record.edge!r}") from None
     entries = []
     for substance in sorted(buckets):
         amounts, emitted_amounts = buckets[substance]
-        emitted = sum(emitted_amounts)
+        emitted = sum(emitted_amounts, 0.0)
         held_values = [v for (_, s), v in state.stocks.items() if s == substance]
         sunk_values = [v for (_, s), v in state.sink_received.items() if s == substance]
-        held = sum(held_values)
-        delivered = sum(sunk_values)
+        held = sum(held_values, 0.0)
+        delivered = sum(sunk_values, 0.0)
         error = emitted - held - delivered
         values = chain(amounts, held_values, sunk_values)
         integral = all(map(float.is_integer, map(float, values)))

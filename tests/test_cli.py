@@ -228,6 +228,12 @@ def test_flatten_json_reproduces_golden_flat_graph(capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
+def test_flatten_text_reproduces_golden_flat_graph(capsys):
+    assert main(["flatten", NESTED]) == 0
+    golden = (FIXTURES / "nested.flat.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_stdin_dash(capsys, monkeypatch):
     text = Path(DEMO).read_text()
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))

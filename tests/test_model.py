@@ -28,6 +28,7 @@ from vcsys import (
     export_json,
     flatten,
     model_hash,
+    parse,
     subsystem_at,
     validate,
 )
@@ -511,6 +512,20 @@ def test_constructors_raise_type_error_naming_the_field(build, field):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: EdgeKnowledge(10**400, "grain"), "capacity"),
+        (lambda: EdgeKnowledge(1, "grain", 10**400), "strength"),
+        (lambda: SourceNode("S", 10**400, "grain"), "rate"),
+    ],
+    ids=["capacity", "strength", "rate"],
+)
+def test_constructors_raise_value_error_for_an_int_too_large_for_a_float(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        build()
+
+
 # --- depth & navigation -----------------------------------------------------
 
 def test_depth_base_and_single_nesting():
@@ -527,10 +542,26 @@ def test_depth_exceeded_raises():
         depth(three_level_spec(), max_depth=1)
 
 
-def test_depth_of_a_chain_deeper_than_the_recursion_limit():
+def _chain(levels: int) -> SystemSpec:
+    """``levels`` nested components around one atomic actor, built in code."""
     spec = SystemSpec("leaf", components=[ComponentDecl("a", Atomic(Role.PRODUCER, 0))])
-    for k in range(sys.getrecursionlimit() + 100):
+    for k in range(levels):
         spec = SystemSpec(f"c{k}", components=[ComponentDecl(f"c{k}", spec)])
+    return spec
+
+
+def test_validate_refuses_a_chain_too_deep_to_walk():
+    spec = _chain(2000)
+    report = validate(spec, max_depth=10**6)
+    assert [(v.path, v.message) for v in report.violations] == [
+        ("c1999", "nesting is too deep to validate")
+    ]
+    with pytest.raises(InvalidSpec, match="^c1999: nesting is too deep to validate$"):
+        flatten(spec, 10**6)
+
+
+def test_depth_of_a_chain_deeper_than_the_recursion_limit():
+    spec = _chain(sys.getrecursionlimit() + 100)
     assert depth(spec, max_depth=10**6) == sys.getrecursionlimit() + 100
     with pytest.raises(DepthExceeded):
         depth(spec, max_depth=50)
@@ -631,6 +662,45 @@ def test_flatten_keeps_origin_paths():
     flat = flatten(nested_two_level_spec())
     plots = [n for n in flat.nodes if n.id.startswith("plot")]
     assert all(n.path == ("farm#1",) for n in plots)
+
+
+def test_flatten_numbers_each_subsystem_copy_before_its_body():
+    """A level that repeats its container's type id shares its counter:
+    each outer copy takes its number, then its body's copies take theirs."""
+    doc = parse(
+        """
+        system "estate" {
+          component farm * 2 {
+            component farm * 2 atomic role=producer tier=0
+            source S rate=4 substance=grain
+            entity out
+            edge e_sf S -> farm { substance=grain capacity=2 }
+            edge b_out farm -> out { substance=grain capacity=2 }
+          }
+          component T atomic role=processor_trader tier=1
+          edge e_ft farm.out -> T { substance=grain capacity=3 }
+        }
+        """
+    )
+    flat = flatten(doc.root)
+    assert [(n.id, n.path) for n in flat.nodes] == [
+        ("T#1", ()),
+        ("farm#2", ("farm#1",)),
+        ("farm#3", ("farm#1",)),
+        ("farm#5", ("farm#4",)),
+        ("farm#6", ("farm#4",)),
+    ]
+    assert [(e.id, e.tail, e.head) for e in flat.edges] == [
+        ("e_sf#1", "S", "farm#2"),
+        ("e_sf#2", "S", "farm#3"),
+        ("e_sf#3", "S", "farm#5"),
+        ("e_sf#4", "S", "farm#6"),
+        ("e_ft#1", "farm#2", "T#1"),
+        ("e_ft#2", "farm#3", "T#1"),
+        ("e_ft#3", "farm#5", "T#1"),
+        ("e_ft#4", "farm#6", "T#1"),
+    ]
+    assert [n.id for n in flat.env_nodes] == ["S"]
 
 
 def test_flatten_carries_knowledge_per_edge():

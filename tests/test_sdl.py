@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .helpers import (
     DEMO_SDL,
     PARSE_CORPUS_SIZE,
     WIRING_PROBES,
+    deep_sdl,
     demo_chain_spec,
     nested_two_level_spec,
     parse_corpus_entry,
@@ -282,6 +284,20 @@ def test_parse_is_total_on_arbitrary_bytes(blob):
     except UnicodeDecodeError:
         return
     _assert_positions_inside(text, doc)
+
+
+def test_parse_is_total_on_nesting_around_the_recursion_limit():
+    """Whichever of the parser and validate runs out of stack first, each
+    depth ends in a document, never in a RecursionError. A lower limit
+    keeps the texts small; the race is the same at any limit."""
+    default, limit = sys.getrecursionlimit(), 250
+    sys.setrecursionlimit(limit)
+    try:
+        for levels in range(limit - 100, limit + 10):
+            doc = parse(deep_sdl(levels), max_depth=100000)
+            assert doc.root is not None or doc.diagnostics, levels
+    finally:
+        sys.setrecursionlimit(default)
 
 
 def _assert_positions_inside(text, doc):

@@ -53,7 +53,7 @@ from vcsys import (
 )
 from vcsys import model, sim
 
-from .helpers import demo_chain_spec, fan_spec, random_flow_model
+from .helpers import demo_chain_spec, fan_spec, nested_two_level_spec, random_flow_model
 from .oracles import reference_run
 
 
@@ -853,7 +853,10 @@ def test_conservation_demo_chain():
 def test_conservation_zero_steps():
     flat = flatten(demo_chain_spec())
     state, log = run(flat, 0)
-    assert conservation_check(flat, state, log).ok
+    [entry] = conservation_check(flat, state, log).entries
+    assert entry.ok
+    totals = (entry.emitted, entry.in_stock, entry.delivered, entry.error)
+    assert [type(total) for total in totals] == [float] * 4
 
 
 def test_conservation_detects_missing_record():
@@ -873,6 +876,33 @@ def test_conservation_null_history_refused():
     state, log = run(flat, 3)
     with pytest.raises(NullHistory):
         conservation_check(flat, state, log)
+
+
+def test_conservation_refuses_a_log_of_another_model():
+    flat = flatten(demo_chain_spec())
+    state, _ = run(flat, 3)
+    _, foreign = run(flatten(nested_two_level_spec()), 3)
+    with pytest.raises(HashMismatch):
+        conservation_check(flat, state, foreign)
+
+
+def test_conservation_checks_the_model_before_the_history_policy():
+    flat = flatten(demo_chain_spec(history=HistoryPolicy.NULL))
+    state, _ = run(flat, 3)
+    _, foreign = run(flatten(demo_chain_spec()), 3)
+    with pytest.raises(HashMismatch):
+        conservation_check(flat, state, foreign)
+
+
+def test_conservation_refuses_a_record_on_an_unknown_edge_as_replay_does():
+    flat = flatten(demo_chain_spec())
+    state, log = run(flat, 3)
+    forged = dataclasses.replace(log, records=log.records + (TransitionRecord(2, "ghost", 1.0),))
+    message = r"^record references unknown edge 'ghost'$"
+    with pytest.raises(InconsistentState, match=message):
+        replay(flat, forged)
+    with pytest.raises(InconsistentState, match=message):
+        conservation_check(flat, state, forged)
 
 
 def test_conservation_on_random_integer_models():
