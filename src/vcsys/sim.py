@@ -22,7 +22,12 @@ a run or a replay, a stock or delivery counter that is not finite raises
 ``step`` refuses a state that no run can reach.
 
 Every entry point reads one plan of a graph's edges, and the graph's hash
-is computed once: both are kept on the graph and dropped with it.
+is computed once: both are kept on the graph and dropped with it. The
+plan also gives each stock and delivery counter a slot and ranks the
+flows by edge id, so ``run`` keeps its whole state in one list of floats
+and builds the state's dicts once, at the end; ``step`` and ``replay``
+work on the dicts. Both apply a tick's flows in edge-id order, so their
+float sums agree bit for bit.
 
 Each log line is exactly ``json.dumps`` of the header's or the record's
 fields with its defaults: keys in field order, ``", "`` and ``": "`` as
@@ -146,6 +151,18 @@ class _Plan:
     ``sources`` are the constant source flows. ``groups`` holds, per
     (tail, substance) stock in key order, its full-capacity flows sorted
     by edge id, their summed capacity and whether all are whole numbers.
+
+    For ``run`` the plan also numbers the state: ``keys`` lists every stock
+    key, then every delivery counter key, in ``zero_state``'s order, and a
+    key's slot is its index there. One more slot, never checked, is the
+    environment: source flows draw on it, and a flow with nowhere to go
+    fills it. The flows are ranked by edge id: rank ``i`` moves along edge
+    ``ids[i]`` from slot ``draws[i]`` into slot ``targets[i]``, and
+    ``source_amounts[i]`` is its constant source amount, or zero for a
+    flow drawing on a stock. ``slot_groups`` holds, per group in order, the
+    slot it draws on, the rank of each of its flows, and the group, its
+    summed capacity and its integrality as ``_ration`` takes them; a group
+    whose stock has no slot never flows and is left out.
     """
 
     def __init__(self, flat: FlatGraph) -> None:
@@ -186,12 +203,37 @@ class _Plan:
             group = sorted(flows, key=_by_id)
             caps = [cap for _, cap in group]
             self.groups.append((key, group, sum(caps), all(c.is_integer() for c in caps)))
+        zero = self.zero_state()
+        self.keys = [*zero.stocks, *zero.sink_received]
+        self.stock_count = len(zero.stocks)
+        slot = {key: i for i, key in enumerate(self.keys)}
+        environment = len(self.keys)
+        contending = (flow for _, group, _, _ in self.groups for flow in group)
+        ranked = sorted(chain(self.sources, contending), key=_by_id)
+        self.ids = [route.id for route, _ in ranked]
+        self.rank = {edge: i for i, edge in enumerate(self.ids)}
+        self.draws = [slot.get(route.draw, environment) for route, _ in ranked]
+        self.targets = [slot.get(route.fill or route.sink, environment) for route, _ in ranked]
+        self.source_amounts = [0.0] * len(ranked)
+        for route, most in self.sources:
+            self.source_amounts[self.rank[route.id]] = most
+        # A group drawing on a node the graph lacks has no stock and never flows.
+        self.slot_groups = [
+            (slot[key], [self.rank[route.id] for route, _ in group], group, wanted, integral)
+            for key, group, wanted, integral in self.groups
+            if key in slot
+        ]
 
     def zero_state(self) -> SimulationState:
         routes = self.routes.values()
         stocks = dict.fromkeys((k for r in routes for k in (r.draw, r.fill) if k), 0.0)
         received = dict.fromkeys((r.sink for r in routes if r.sink), 0.0)
         return SimulationState(0, stocks, received)
+
+    def tables(self, values: list[float]) -> tuple[_Stocks, _Stocks]:
+        """The stocks and the delivery counters that slot values hold."""
+        held = self.stock_count
+        return dict(zip(self.keys, values[:held])), dict(zip(self.keys[held:], values[held:-1]))
 
 
 _plan = _memo(_Plan)  # one plan per graph, for every entry point
@@ -313,15 +355,33 @@ def run(flat: FlatGraph, steps: int) -> tuple[SimulationState, HistoryLog]:
     if type(steps) is not int or steps < 0:
         raise ValueError(f"steps must be non-negative and an int, got {steps!r}")
     plan = _plan(flat)
-    state = plan.zero_state()
+    held, rank, ids = plan.stock_count, plan.rank, plan.ids
+    values = [0.0] * (len(plan.keys) + 1)  # one slot per key, then the environment's
     collected: list[TransitionRecord] = []
     recording = flat.history_policy is HistoryPolicy.RECORD
     for tick in range(steps):
-        flows = _tick(plan, state.stocks, state.sink_received, tick)
+        # _tick's flows, each at its rank, applied in rank order as _advance does.
+        amounts = plan.source_amounts.copy()
+        for slot, ranks, group, wanted, integral in plan.slot_groups:
+            pool = values[slot]
+            if wanted <= pool:
+                for i, (_, cap) in zip(ranks, group):
+                    amounts[i] = cap
+            elif pool > 0:
+                for route, share in _ration(pool, group, wanted, integral):
+                    amounts[rank[route.id]] = share
+        for draw, target, amount in zip(plan.draws, plan.targets, amounts):
+            if amount:
+                values[draw] -= amount
+                values[target] += amount
+        # _advance's check, on the slots; only a failure needs the keys for its message.
+        for table in (values[:held], values[held:-1]):
+            if not math.isfinite(sum(table)) or min(table, default=0.0) < 0:
+                _advance((), *plan.tables(values), tick)
         if recording:
-            collected.extend(TransitionRecord(tick, r.id, a) for r, a in flows)
+            collected.extend(TransitionRecord(tick, ids[i], a) for i, a in enumerate(amounts) if a)
     header = LogHeader(model_hash(flat), steps)
-    return replace(state, tick=steps), HistoryLog(header, tuple(collected))
+    return SimulationState(steps, *plan.tables(values)), HistoryLog(header, tuple(collected))
 
 
 def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
@@ -344,9 +404,10 @@ def replay(flat: FlatGraph, log: HistoryLog) -> SimulationState:
     for tick, records in groupby(log.records, lambda record: record.tick):
         flows = []
         for record in records:
-            route = plan.routes.get(record.edge)
-            if route is None:
-                raise InconsistentState(f"record references unknown edge {record.edge!r}")
+            try:
+                route = plan.routes[record.edge]
+            except (KeyError, TypeError):  # an unhashable edge names no edge either
+                raise InconsistentState(f"record references unknown edge {record.edge!r}") from None
             if not 0 <= record.tick < end:
                 problem = f"lies outside ticks [0, {end})"
             elif record.tick < last:
@@ -413,7 +474,7 @@ def conservation_check(
         for record in log.records:
             for amounts in lists[record.edge]:
                 amounts.append(record.amount)
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable edge names no edge either
         raise InconsistentState(f"record references unknown edge {record.edge!r}") from None
     entries = []
     for substance in sorted(buckets):

@@ -24,6 +24,8 @@ from vcsys import (
     ComponentDecl,
     Edge,
     EdgeKnowledge,
+    FlatGraph,
+    FlatNode,
     HashMismatch,
     HistoryLog,
     HistoryPolicy,
@@ -340,6 +342,78 @@ def test_run_non_negative_and_sinks_monotone():
             for key, value in state.sink_received.items():
                 assert value >= previous_sink.get(key, 0.0)
             previous_sink = dict(state.sink_received)
+
+
+def _hexes(table):
+    return [(key, value.hex()) for key, value in table.items()]
+
+
+@pytest.mark.parametrize("integer_caps", [True, False], ids=["integer", "fractional"])
+def test_run_equals_chained_steps_bit_for_bit(integer_caps):
+    rng = random.Random(101 if integer_caps else 103)
+    for _ in range(25):
+        flat = flatten(random_flow_model(rng, integer_caps=integer_caps))
+        assert flat.history_policy is HistoryPolicy.RECORD
+        steps = rng.randint(0, 25)
+        final, log = run(flat, steps)
+        zero = state = init_state(flat)
+        records = []
+        for _ in range(steps):
+            state, new = step(state, flat)
+            records += new
+        assert list(final.stocks) == list(zero.stocks)
+        assert list(final.sink_received) == list(zero.sink_received)
+        assert _hexes(final.stocks) == _hexes(state.stocks)
+        assert _hexes(final.sink_received) == _hexes(state.sink_received)
+        assert [(r.tick, r.edge, r.amount.hex()) for r in log.records] == [
+            (r.tick, r.edge, r.amount.hex()) for r in records
+        ]
+        assert final.tick == state.tick == steps
+
+
+def test_run_rations_a_one_edge_group_by_the_same_arithmetic():
+    """A lone edge that its stock cannot cover still moves
+    ``pool * cap / cap``, which is not always ``pool``."""
+    rate = 51.53919723051471
+    spec = SystemSpec(
+        "lone",
+        components=[
+            ComponentDecl("P", Atomic(Role.PRODUCER, 0)),
+            ComponentDecl("T", Atomic(Role.PROCESSOR_TRADER, 1)),
+        ],
+        env_nodes=[SourceNode("S", rate, "milk")],
+        edges=[
+            Edge("e_sp", "S", "P", EdgeKnowledge(99.6, "milk")),
+            Edge("e_pt", "P", "T", EdgeKnowledge(56.4, "milk")),
+        ],
+    )
+    assert rate * 56.4 / 56.4 != rate
+    state, _ = run(flatten(spec), 2)
+    assert state.stocks[("T#1", "milk")].hex() == (rate * 56.4 / 56.4).hex()
+
+
+def test_run_on_a_code_built_graph_with_dangling_edges_equals_steps():
+    """An edge from a node the graph lacks never flows; one into such a
+    node moves its amount out of the model."""
+    flat = FlatGraph(
+        "dangling",
+        nodes=(FlatNode("P", Role.PRODUCER, 0),),
+        edges=(
+            Edge("e1", "S", "P", EdgeKnowledge(5.0, "grain")),
+            Edge("e2", "ghost", "P", EdgeKnowledge(3.0, "grain")),
+            Edge("e3", "P", "nowhere", EdgeKnowledge(2.0, "grain")),
+        ),
+        env_nodes=(SourceNode("S", 4.0, "grain"),),
+    )
+    state, log = run(flat, 3)
+    assert state.stocks == {("P", "grain"): 8.0}
+    assert [(r.tick, r.edge) for r in log.records] == [
+        (0, "e1"), (1, "e1"), (1, "e3"), (2, "e1"), (2, "e3")
+    ]
+    stepped = init_state(flat)
+    for _ in range(3):
+        stepped, _ = step(stepped, flat)
+    assert stepped == state
 
 
 # --- replay -----------------------------------------------------------------
@@ -687,6 +761,16 @@ def test_write_log_reproduces_golden_log(tmp_path):
     assert path.read_bytes() == (FIXTURES / "demo.steps20.jsonl").read_bytes()
 
 
+def test_write_log_reproduces_golden_rationing_log(tmp_path):
+    """Proportional milk shares, a one-edge group its stock cannot cover,
+    and a largest-remainder tie that goes to e_10 before e_2."""
+    doc = parse((FIXTURES / "milk.vcs").read_text(encoding="utf-8"))
+    _, log = run(flatten(doc.root), 20)
+    path = tmp_path / "milk.jsonl"
+    write_log(log, path)
+    assert path.read_bytes() == (FIXTURES / "milk.steps20.jsonl").read_bytes()
+
+
 def test_log_in_the_earlier_format_reads_and_replays():
     """Records that also name their substance, and a header that also
     names a start tick and the history policy, still read and replay."""
@@ -902,6 +986,22 @@ def test_conservation_refuses_a_record_on_an_unknown_edge_as_replay_does():
     with pytest.raises(InconsistentState, match=message):
         replay(flat, forged)
     with pytest.raises(InconsistentState, match=message):
+        conservation_check(flat, state, forged)
+
+
+def test_replay_refuses_a_record_whose_edge_is_unhashable():
+    flat = flatten(demo_chain_spec())
+    _, log = run(flat, 3)
+    forged = dataclasses.replace(log, records=log.records + (TransitionRecord(1, ["x"], 1.0),))
+    with pytest.raises(InconsistentState, match=r"^record references unknown edge \['x'\]$"):
+        replay(flat, forged)
+
+
+def test_conservation_refuses_a_record_whose_edge_is_unhashable():
+    flat = flatten(demo_chain_spec())
+    state, log = run(flat, 3)
+    forged = dataclasses.replace(log, records=log.records + (TransitionRecord(1, ["x"], 1.0),))
+    with pytest.raises(InconsistentState, match=r"^record references unknown edge \['x'\]$"):
         conservation_check(flat, state, forged)
 
 
